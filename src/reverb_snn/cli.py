@@ -143,6 +143,12 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="reverb-snn",
@@ -156,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--metrics", default=None, help="metrics file (default: <out>.metrics)")
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--mode", choices=("vanilla", "reverb", "reverb-learnable"), default=None)
-    t.add_argument("--timesteps", type=int, default=None)
+    t.add_argument("--timesteps", type=_positive_int, default=None)
     t.set_defaults(func=cmd_train)
 
     r = sub.add_parser("reparam", help="fold amplitudes into firing scales")
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--checkpoint", required=True)
         e.add_argument("--dataset", required=True)
         e.add_argument("--seed", type=int, default=0)
-        e.add_argument("--timesteps", type=int, default=None,
+        e.add_argument("--timesteps", type=_positive_int, default=None,
                        help="override the checkpoint's timestep count")
         e.set_defaults(func=fn)
 

@@ -3,11 +3,12 @@ accounting around it.
 
 A firing layer's nonzero spikes become an EventList; a folded binarized layer
 consumes events by pure accumulation: weight +1 adds the spike value, weight
--1 subtracts it. No weight-activation multiply exists on that path, and the
-accumulation visits events in ascending source order -- the same order the
-dense reference kernels reduce in -- so the result is bitwise equal to the
-dense product (adding a zero term is exact in IEEE-754, so skipping silent
-neurons changes nothing).
+-1 subtracts it. The kernel is the dense kernels' fixed-order reduction
+(`numerics._accumulate`) with a sign-select term in place of the multiply:
+a dense layer adds one term per event, a conv layer scatters its events into
+a zero map and sweeps the kernel taps over it, as `conv2d` does. Inference
+(`event_forward`) runs the same LIF loop as the dense forward pass, so the
+two paths agree bitwise by construction.
 
 Operation counts follow the synaptic-operation model: binarized (middle)
 layers cost one SOP per accumulate, which over a dataset equals
@@ -26,8 +27,8 @@ import numpy as np
 from .errors import DimensionError, ModeError, StateError
 from .layers import CONV, DENSE, BinaryLayer
 from .network import Network
-from .neuron import LifState, channel_axis, fire, membrane_update
-from .numerics import as_f64, conv2d, conv_output_size, matmul
+from .numerics import _accumulate, _conv_pairs, as_f64, conv2d, matmul
+from .training import _unroll, aggregate_output, forward_pass
 
 FLOP_JOULES = 12.5e-12
 SOP_JOULES = 77e-15
@@ -89,47 +90,26 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
     if not np.all(np.abs(w) == 1.0):
         raise ModeError("layer weights are not pure {-1,+1}; fold the network first")
 
-    if layer.kind == DENSE:
-        n_out, n_in = w.shape
-        plus = w > 0
-        out = np.zeros(n_out, dtype=np.float64)
-        for j, o in zip(events.indices, events.values):
-            if j >= n_in:
-                raise DimensionError(f"event index {j} outside layer input {n_in}")
-            p = plus[:, j]
-            out[p] += o
-            out[~p] -= o
-            if counter is not None:
-                counter.accumulations += n_out
-        return out
-
-    if input_shape is None or len(input_shape) != 3:
+    if layer.kind == CONV and (input_shape is None or len(input_shape) != 3):
         raise DimensionError("conv event kernel needs the (C, H, W) input shape")
-    c_in, h, win = input_shape
-    c_out, _, k, _ = w.shape
-    stride, padding = layer.stride, layer.padding
-    h_out = conv_output_size(h, k, stride, padding)
-    w_out = conv_output_size(win, k, stride, padding)
-    plus = w > 0
-    out = np.zeros((c_out, h_out, w_out), dtype=np.float64)
-    for flat, o in zip(events.indices, events.values):
-        c, rem = divmod(int(flat), h * win)
-        y, x = divmod(rem, win)
-        yp, xp = y + padding, x + padding
-        for ky in range(k):
-            oy, ry = divmod(yp - ky, stride)
-            if ry or not 0 <= oy < h_out:
-                continue
-            for kx in range(k):
-                ox, rx = divmod(xp - kx, stride)
-                if rx or not 0 <= ox < w_out:
-                    continue
-                p = plus[:, c, ky, kx]
-                out[p, oy, ox] += o
-                out[~p, oy, ox] -= o
-                if counter is not None:
-                    counter.accumulations += c_out
-    return out
+    n_in = w.shape[1] if layer.kind == DENSE else int(np.prod(input_shape))
+    idx = events.indices
+    if idx.size and not (idx[0] >= 0 and idx[-1] < n_in):
+        raise DimensionError(f"event indices {idx[0]}..{idx[-1]} outside layer input {n_in}")
+
+    if layer.kind == DENSE:
+        if counter is not None:
+            counter.accumulations += w.shape[0] * len(events)
+        return _accumulate(w.shape[:1], zip(events.values, w.T[idx]), signed=True)
+
+    spikes = np.zeros((1,) + tuple(input_shape), dtype=np.float64)
+    spikes.flat[idx] = events.values
+    shape, pairs = _conv_pairs(spikes, w, layer.stride, layer.padding)
+    pairs = list(pairs)
+    if counter is not None:
+        # Each nonzero in a tap's patch is one (event, ky, kx) landing on an output.
+        counter.accumulations += shape[1] * int(sum(np.count_nonzero(p) for p, _ in pairs))
+    return _accumulate(shape, pairs, signed=True)[0]
 
 
 @dataclass
@@ -167,7 +147,6 @@ def layer_additions(net: Network) -> dict[int, int]:
     """Equivalent dense-network addition count A per middle (SOP) layer."""
     shapes = net.layer_output_shapes()
     out = {}
-    cur = tuple(net.input_shape)
     for l, layer in enumerate(net.layers):
         if 0 < l < len(net.layers) - 1:
             if layer.kind == DENSE:
@@ -176,7 +155,6 @@ def layer_additions(net: Network) -> dict[int, int]:
                 c_out, c_in, k, _ = layer.w_latent.shape
                 _, h_o, w_o = shapes[l]
                 out[l] = c_out * h_o * w_o * c_in * k * k
-        cur = shapes[l]
     return out
 
 
@@ -239,10 +217,11 @@ def estimate_energy(flops: float, sops: float, sparsity: float = 0.0,
     )
 
 
-def _per_channel_view(vec: np.ndarray, like: np.ndarray) -> np.ndarray:
-    shape = [1] * like.ndim
-    shape[channel_axis(like)] = vec.shape[0]
-    return vec.reshape(shape)
+def _record_sparsity(meter: SparsityMeter, inputs: list) -> None:
+    """Record the middle layers' inputs of a ForwardCache.inputs list."""
+    for step in inputs:
+        for l in range(1, len(step) - 1):
+            meter.record(l, step[l])
 
 
 def event_forward(net: Network, sample: np.ndarray, timesteps: int | None = None,
@@ -264,38 +243,20 @@ def event_forward(net: Network, sample: np.ndarray, timesteps: int | None = None
         )
     T = net.timesteps if timesteps is None else timesteps
     last = len(net.layers) - 1
-    states: list = [None] * len(net.layers)
-    outputs = []
-    for t in range(T):
-        x = sample
-        for l, (layer, nrn) in enumerate(zip(net.layers, net.neurons)):
-            if layer.kind == DENSE and x.ndim > 1:
-                x = x.reshape(-1)
-            middle = 0 < l < last
-            if middle and meter is not None:
-                meter.record(l, x)
-            if middle and layer.binarize:
-                events = events_from_spikes(x, layer_id=l - 1, t=t)
-                current = addition_only_forward(
-                    layer, events,
-                    input_shape=x.shape if layer.kind == CONV else None,
-                    counter=counter,
-                )
-            elif layer.kind == DENSE:
-                current = matmul(x[None, :], layer.w_latent.T)[0]
-            else:
-                current = conv2d(x, layer.w_latent, layer.stride, layer.padding)
-            if layer.has_affine:
-                current = _per_channel_view(layer.affine_gamma, current) * current \
-                    + _per_channel_view(layer.affine_beta, current)
-            state = states[l] if states[l] is not None else LifState.zeros(current.shape)
-            state = membrane_update(state, current, nrn)
-            if l == last:
-                x, states[l] = state.u, state
-            else:
-                x, states[l] = fire(state, nrn)
-        outputs.append(x)
-    return outputs
+
+    def current(t, l, x):
+        layer = net.layers[l]
+        if 0 < l < last and layer.binarize:
+            events = events_from_spikes(x[0], layer_id=l - 1, t=t)
+            return addition_only_forward(layer, events, x.shape[1:], counter)[None]
+        if layer.kind == DENSE:
+            return matmul(x, layer.w_latent.T)
+        return conv2d(x, layer.w_latent, layer.stride, layer.padding)
+
+    outputs, cache = _unroll(net, sample[None], T, current)
+    if meter is not None:
+        _record_sparsity(meter, cache.inputs)
+    return [o[0] for o in outputs]
 
 
 def evaluate_event_driven(net: Network, x, y, timesteps: int | None = None):
@@ -332,22 +293,17 @@ def evaluate_dense(net: Network, x, y, timesteps: int | None = None,
                    batch_size: int = 256):
     """Dense-path evaluation for trained-form networks: accuracy plus an
     EnergyReport with SOPs estimated as s * T * A from measured sparsity."""
-    from .training import aggregate_output, forward_pass
-
     x = as_f64(x)
     y = np.asarray(y)
     T = net.timesteps if timesteps is None else timesteps
     meter = SparsityMeter()
-    last = len(net.layers) - 1
     correct = 0
     for start in range(0, len(x), batch_size):
         xb = x[start : start + batch_size]
         outputs, cache = forward_pass(net, xb, T)
         o = aggregate_output(outputs)
         correct += int((o.argmax(axis=1) == y[start : start + batch_size]).sum())
-        for t in range(T):
-            for l in range(1, last):
-                meter.record(l, cache.inputs[t][l])
+        _record_sparsity(meter, cache.inputs)
     additions = layer_additions(net)
     sparsity = meter.mean(additions)
     report = estimate_energy(

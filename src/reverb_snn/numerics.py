@@ -1,13 +1,14 @@
 """Dense tensor kernels with a fixed accumulation order.
 
-Everything is float64 and row-major. The contraction loops in `matmul` and
-`conv2d` run strictly left-to-right over the reduced axis (ascending k for
-matmul, ascending (c_in, ky, kx) for conv2d), so repeated runs are bitwise
-reproducible and the sparse event kernel -- which replays the same order over
-nonzero entries only -- can be checked for bitwise equality against them.
+Everything is float64 and row-major. `matmul` and `conv2d` reduce through
+`_accumulate`, the one fixed-order reduction of the package; the event kernel
+in `events.py` runs the same reduction with a sign-select term, so its
+results can be checked for bitwise equality against these kernels.
 
 The backward helpers (`*_grad`) have no ordering contract; they only need to
 be deterministic, which numpy's einsum (optimize left off) guarantees.
+`_tap` is the one place that maps a kernel offset to the input positions it
+meets, for the forward and both gradients.
 """
 
 from __future__ import annotations
@@ -21,6 +22,24 @@ def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _accumulate(shape, pairs, signed: bool = False) -> np.ndarray:
+    """Add one term per (x, w) pair into a zeroed `shape` array, strictly in
+    the order `pairs` yields them.
+
+    This order is the accumulation contract: ascending k for matmul,
+    ascending (c_in, ky, kx) for conv2d, and the same order over an event
+    list, so repeated runs and the event kernel agree bitwise. The term is
+    x * w for real weights; with `signed`, w holds folded {-1, +1} weights and
+    the term is the sign select +x / -x, with no multiply. Adding an exact
+    zero term changes nothing in IEEE-754, so skipping silent inputs keeps
+    the result bitwise equal.
+    """
+    out = np.zeros(shape, dtype=np.float64)
+    for x, w in pairs:
+        out += np.where(w > 0, x, -x) if signed else x * w
+    return out
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product of (m, k) by (k, n) accumulating over k in ascending order."""
     a = as_f64(a)
@@ -29,12 +48,7 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.float64)
-    for kk in range(k):
-        out += a[:, kk : kk + 1] * b[kk, :]
-    return out
+    return _accumulate((a.shape[0], b.shape[1]), zip(a.T[:, :, None], b))
 
 
 def conv_output_size(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -57,6 +71,13 @@ def _check_conv_args(c_in, h, w, kernels, stride, padding):
         )
 
 
+def _tap(ky: int, kx: int, stride: int, out_hw) -> tuple:
+    """Index of the (..., H_out, W_out) positions of a padded input that
+    kernel offset (ky, kx) meets."""
+    h_out, w_out = out_hw
+    return (..., slice(ky, ky + stride * h_out, stride), slice(kx, kx + stride * w_out, stride))
+
+
 def pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     """Zero-pad the two trailing (spatial) axes of a (..., H, W) array."""
     if padding == 0:
@@ -65,6 +86,21 @@ def pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     out = np.zeros(shape, dtype=x.dtype)
     out[..., padding : padding + x.shape[-2], padding : padding + x.shape[-1]] = x
     return out
+
+
+def _conv_pairs(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
+    """Output shape and (input patch, weight column) pairs of the conv of the
+    (B, C_in, H, W) batch `x`, in ascending (c_in, ky, kx) order; each pair's
+    product broadcasts to the (B, C_out, H_out, W_out) output."""
+    batch, c_in, h, w = x.shape
+    _check_conv_args(c_in, h, w, kernels, stride, padding)
+    c_out, _, k, _ = kernels.shape
+    out_hw = (conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding))
+    xp = pad_spatial(x, padding)
+    columns = kernels.transpose(1, 2, 3, 0).reshape(-1, c_out, 1, 1)
+    patches = (xp[:, c, None][_tap(ky, kx, stride, out_hw)]
+               for c in range(c_in) for ky in range(k) for kx in range(k))
+    return (batch, c_out) + out_hw, zip(patches, columns)
 
 
 def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -82,19 +118,7 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
         x = x[None]
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 3-D or 4-D, got {inp.shape}")
-    batch, c_in, h, w = x.shape
-    _check_conv_args(c_in, h, w, kernels, stride, padding)
-    c_out, _, k, _ = kernels.shape
-    h_out = conv_output_size(h, k, stride, padding)
-    w_out = conv_output_size(w, k, stride, padding)
-
-    xp = pad_spatial(x, padding)
-    out = np.zeros((batch, c_out, h_out, w_out), dtype=np.float64)
-    for c in range(c_in):
-        for ky in range(k):
-            for kx in range(k):
-                patch = xp[:, c, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-                out += patch[:, None, :, :] * kernels[None, :, c, ky, kx, None, None]
+    out = _accumulate(*_conv_pairs(x, kernels, stride, padding))
     return out[0] if squeeze else out
 
 
@@ -103,16 +127,12 @@ def conv2d_input_grad(grad_out, kernels, stride: int, padding: int, input_hw) ->
     g = as_f64(grad_out)
     kernels = as_f64(kernels)
     h, w = input_hw
-    batch = g.shape[0]
-    c_out, c_in, k, _ = kernels.shape
-    h_out, w_out = g.shape[2], g.shape[3]
-    gxp = np.zeros((batch, c_in, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    for c in range(c_in):
-        for ky in range(k):
-            for kx in range(k):
-                gxp[:, c, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride] += np.einsum(
-                    "bohw,o->bhw", g, kernels[:, c, ky, kx]
-                )
+    c_in, k = kernels.shape[1], kernels.shape[2]
+    gxp = np.zeros((g.shape[0], c_in, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            gxp[_tap(ky, kx, stride, g.shape[2:])] += np.einsum(
+                "bohw,oc->bchw", g, kernels[:, :, ky, kx])
     return gxp[:, :, padding : padding + h, padding : padding + w]
 
 
@@ -120,19 +140,9 @@ def conv2d_kernel_grad(inp, grad_out, stride: int, padding: int, k: int) -> np.n
     """Gradient of conv2d w.r.t. its kernels, summed over the batch."""
     x = as_f64(inp)
     g = as_f64(grad_out)
-    c_in = x.shape[1]
-    c_out = g.shape[1]
-    h_out, w_out = g.shape[2], g.shape[3]
     xp = pad_spatial(x, padding)
-    gk = np.zeros((c_out, c_in, k, k), dtype=np.float64)
-    for c in range(c_in):
-        for ky in range(k):
-            for kx in range(k):
-                patch = xp[:, c, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-                gk[:, c, ky, kx] = np.einsum("bohw,bhw->o", g, patch)
+    gk = np.zeros((g.shape[1], x.shape[1], k, k), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            gk[:, :, ky, kx] = np.einsum("bohw,bchw->oc", g, xp[_tap(ky, kx, stride, g.shape[2:])])
     return gk
-
-
-def require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{name} contains non-finite values")

@@ -23,7 +23,8 @@ import numpy as np
 from . import layers as L
 from .errors import DimensionError, StateError, TrainingError
 from .network import Network
-from .neuron import LifState, fire, fire_backward, membrane_update, threshold_for
+from .neuron import (LifState, _per_channel, fire, fire_backward, membrane_update,
+                     threshold_for)
 from .numerics import as_f64, conv2d_input_grad, conv2d_kernel_grad
 
 
@@ -60,10 +61,41 @@ def _feed_shape(layer: L.BinaryLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _per_channel_col(vec: np.ndarray, like: np.ndarray) -> np.ndarray:
-    shape = [1] * like.ndim
-    shape[1] = vec.shape[0]
-    return vec.reshape(shape)
+def _unroll(net: Network, batch: np.ndarray, T: int, current_fn, surrogate: bool = False):
+    """The LIF loop shared by the dense and event paths.
+
+    For each timestep and layer, `current_fn(t, l, x)` gives the synaptic
+    current of layer l from its batched input x; the loop applies the
+    optional per-channel affine, integrates, and fires every layer but the
+    non-firing head. Returns the per-timestep outputs and the ForwardCache.
+    """
+    states: list[LifState | None] = [None] * len(net.layers)
+    cache = ForwardCache(net, T, surrogate, [], [], [])
+    outputs = []
+    for t in range(T):
+        x = batch
+        cache.inputs.append([])
+        cache.u_pre.append([])
+        cache.raw_current.append([])
+        for l, (layer, nrn) in enumerate(zip(net.layers, net.neurons)):
+            x = _feed_shape(layer, x)
+            cache.inputs[-1].append(x)
+            current = current_fn(t, l, x)
+            if layer.has_affine:
+                cache.raw_current[-1].append(current)
+                current = _per_channel(layer.affine_gamma, current) * current \
+                    + _per_channel(layer.affine_beta, current)
+            else:
+                cache.raw_current[-1].append(None)
+            state = states[l] if states[l] is not None else LifState.zeros(current.shape)
+            state = membrane_update(state, current, nrn)
+            cache.u_pre[-1].append(state.u)
+            if l == len(net.layers) - 1:
+                x, states[l] = state.u, state
+            else:
+                x, states[l] = fire(state, nrn)
+        outputs.append(x)
+    return outputs, cache
 
 
 def forward_pass(net: Network, batch: np.ndarray, timesteps: int | None = None,
@@ -87,33 +119,8 @@ def forward_pass(net: Network, batch: np.ndarray, timesteps: int | None = None,
             f"network input {net.input_shape}"
         )
     T = net.timesteps if timesteps is None else timesteps
-    states: list[LifState | None] = [None] * len(net.layers)
-    cache = ForwardCache(net, T, surrogate, [], [], [])
-    outputs = []
-    for _ in range(T):
-        x = batch
-        cache.inputs.append([])
-        cache.u_pre.append([])
-        cache.raw_current.append([])
-        for l, (layer, nrn) in enumerate(zip(net.layers, net.neurons)):
-            x = _feed_shape(layer, x)
-            cache.inputs[-1].append(x)
-            current = L.forward(layer, x, surrogate)
-            if layer.has_affine:
-                cache.raw_current[-1].append(current)
-                current = _per_channel_col(layer.affine_gamma, current) * current \
-                    + _per_channel_col(layer.affine_beta, current)
-            else:
-                cache.raw_current[-1].append(None)
-            state = states[l] if states[l] is not None else LifState.zeros(current.shape)
-            state = membrane_update(state, current, nrn)
-            cache.u_pre[-1].append(state.u)
-            if l == len(net.layers) - 1:
-                x, states[l] = state.u, state
-            else:
-                x, states[l] = fire(state, nrn)
-        outputs.append(x)
-    return outputs, cache
+    return _unroll(net, batch, T, lambda t, l, x: L.forward(net.layers[l], x, surrogate),
+                   surrogate)
 
 
 def aggregate_output(outputs: list[np.ndarray]) -> np.ndarray:
@@ -204,7 +211,7 @@ def backward_stbp(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> G
                 raw = cache.raw_current[t][l]
                 grads.gamma[l] += _sum_per_channel(g_u * raw)
                 grads.beta[l] += _sum_per_channel(g_u)
-                g_c = _per_channel_col(layer.affine_gamma, g_u) * g_u
+                g_c = _per_channel(layer.affine_gamma, g_u) * g_u
             else:
                 g_c = g_u
 

@@ -88,6 +88,20 @@ class TestTrain:
         assert main(["train", "--config", str(bad),
                      "--out", str(tmp_path / "x.rvrb")]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_timesteps_is_parse_error(self, tmp_path, command, value, capsys):
+        # Rejected while parsing, before the config or checkpoint is read.
+        args = (["train", "--config", str(write_config(tmp_path / "run.cfg")),
+                 "--out", str(tmp_path / "t.rvrb")]
+                if command == "train"
+                else ["eval", "--checkpoint", str(tmp_path / "none.rvrb"),
+                      "--dataset", "two-gaussians"])
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--timesteps", value])
+        assert exc.value.code == 2
+        assert "--timesteps" in capsys.readouterr().err
+
 
 class TestReparam:
     def test_fold_prints_max_diff_and_writes(self, trained, tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from reverb_snn.errors import ModeError, StateError
+from reverb_snn.errors import DimensionError, ModeError, StateError
 from reverb_snn.events import (EventList, OpCounter, SparsityMeter,
                                addition_only_forward, count_flops, count_sops,
                                estimate_energy, evaluate_event_driven,
@@ -115,6 +117,75 @@ class TestAdditionOnlyForward:
             total_events += len(ev)
             addition_only_forward(layer, ev, counter=counter)
         assert counter.accumulations == total_events * 7
+
+    def test_conv_event_index_outside_input_is_dimension_error(self):
+        layer = BinaryLayer(w_latent=np.ones((2, 1, 3, 3)), alpha=np.ones(2),
+                            binarize=True, kind=CONV, padding=1)
+        for indices in ([5, 30], [-1, 5]):
+            with pytest.raises(DimensionError):
+                addition_only_forward(layer, EventList(indices=indices, values=[0.5, 0.5]),
+                                      input_shape=(1, 4, 4))
+
+    def test_dense_event_index_outside_input_is_dimension_error(self):
+        layer = sign_dense(np.random.default_rng(6), 3, 4)
+        for indices in ([1, 4], [-1, 2]):
+            with pytest.raises(DimensionError):
+                addition_only_forward(layer, EventList(indices=indices, values=[0.5, 0.5]))
+
+    def test_conv_input_channels_disagreeing_with_kernels_rejected(self):
+        layer = BinaryLayer(w_latent=np.ones((2, 3, 3, 3)), alpha=np.ones(2),
+                            binarize=True, kind=CONV, padding=1)
+        with pytest.raises(DimensionError):
+            addition_only_forward(layer, EventList(indices=[0], values=[0.5]),
+                                  input_shape=(2, 5, 5))
+
+
+def _sparse_spikes(rng, shape, density):
+    return rng.uniform(-1, 1, shape) * (rng.uniform(0, 1, shape) < density)
+
+
+class TestEventKernelProperties:
+    """The event kernel against the fixed-order dense kernels, bit for bit,
+    with `accumulations` counted independently of the kernel."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_out=st.integers(1, 12),
+           n_in=st.integers(1, 40), density=st.floats(0.0, 1.0))
+    def test_dense_bitwise_and_counted(self, seed, n_out, n_in, density):
+        rng = np.random.default_rng(seed)
+        layer = sign_dense(rng, n_out, n_in)
+        spikes = _sparse_spikes(rng, n_in, density)
+        counter = OpCounter()
+        out = addition_only_forward(layer, events_from_spikes(spikes), counter=counter)
+        ref = matmul(spikes[None, :], layer.w_latent.T)[0]
+        assert out.tobytes() == ref.tobytes()
+        assert counter.accumulations == n_out * np.count_nonzero(spikes)
+
+    @given(seed=st.integers(0, 2**32 - 1), c_in=st.integers(1, 3), c_out=st.integers(1, 4),
+           k=st.integers(1, 3), h=st.integers(1, 8), w=st.integers(1, 8),
+           stride=st.integers(1, 3), padding=st.integers(0, 2), density=st.floats(0.0, 1.0))
+    def test_conv_bitwise_and_counted(self, seed, c_in, c_out, k, h, w, stride, padding,
+                                      density):
+        h, w = max(h, k - 2 * padding), max(w, k - 2 * padding)
+        rng = np.random.default_rng(seed)
+        kernels = binarize_weights(rng.uniform(-1, 1, (c_out, c_in, k, k)))
+        layer = BinaryLayer(w_latent=kernels, alpha=np.ones(c_out), binarize=True,
+                            kind=CONV, stride=stride, padding=padding)
+        spikes = _sparse_spikes(rng, (c_in, h, w), density)
+        counter = OpCounter()
+        out = addition_only_forward(layer, events_from_spikes(spikes),
+                                    input_shape=spikes.shape, counter=counter)
+        ref = conv2d(spikes, kernels, stride, padding)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        h_out, w_out = ref.shape[1:]
+        landings = 0
+        for _, y, x in zip(*np.nonzero(spikes)):
+            for ky in range(k):
+                for kx in range(k):
+                    oy, ry = divmod(y + padding - ky, stride)
+                    ox, rx = divmod(x + padding - kx, stride)
+                    landings += not ry and not rx and 0 <= oy < h_out and 0 <= ox < w_out
+        assert type(counter.accumulations) is int
+        assert counter.accumulations == c_out * landings
 
 
 class TestSparsityMeter:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from reverb_snn.errors import DimensionError
-from reverb_snn.numerics import conv2d, conv_output_size, matmul
+from reverb_snn.numerics import (conv2d, conv2d_input_grad, conv2d_kernel_grad,
+                                 conv_output_size, matmul)
 
 
 def matmul_oracle(a, b):
@@ -138,3 +139,21 @@ class TestConv2d:
     def test_bad_stride(self):
         with pytest.raises(DimensionError):
             conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 3, 3)), 0, 0)
+
+
+class TestConv2dGradients:
+    def test_gradients_are_adjoint_to_the_forward(self):
+        # <conv2d(x, K), g> = <x, input_grad(g)> = <K, kernel_grad(x, g)>
+        rng = np.random.default_rng(17)
+        for stride in (1, 2):
+            for padding in (0, 1, 2):
+                x = rng.uniform(-1, 1, (2, 2, 6, 7))
+                kern = rng.uniform(-1, 1, (3, 2, 3, 3))
+                y = conv2d(x, kern, stride, padding)
+                g = rng.uniform(-1, 1, y.shape)
+                forward = np.sum(y * g)
+                gx = conv2d_input_grad(g, kern, stride, padding, x.shape[2:])
+                gk = conv2d_kernel_grad(x, g, stride, padding, 3)
+                assert gx.shape == x.shape and gk.shape == kern.shape
+                assert np.sum(x * gx) == pytest.approx(forward, rel=1e-12)
+                assert np.sum(kern * gk) == pytest.approx(forward, rel=1e-12)

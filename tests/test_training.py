@@ -7,7 +7,7 @@ from reverb_snn.datasets import two_gaussians
 from reverb_snn.errors import DimensionError, StateError, TrainingError
 from reverb_snn.layers import DENSE, BinaryLayer
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, Network,
-                                build_gradcheck_net, build_mlp)
+                                build_convnet, build_gradcheck_net, build_mlp)
 from reverb_snn.neuron import FireMode, NeuronParams
 from reverb_snn.training import (TrainConfig, aggregate_output, backward_stbp,
                                  ce_loss, ce_loss_grad, cosine_lr,
@@ -239,6 +239,19 @@ class TestBackwardStbp:
             x = rng.uniform(0, 1, (4, 5))
             y = rng.integers(0, 3, 4)
             report = gradient_check(net, x, y)
+            assert report.passed, f"seed {seed}: max rel err {report.max_rel}"
+
+    def test_gradient_oracle_convnet(self):
+        # Conv encoder and binarized conv middle layer: checks the conv
+        # kernel and input gradients against finite differences.
+        for seed in range(4):
+            net = build_convnet((1, 6, 6), 3, MODE_LEARNABLE, timesteps=2,
+                                seed=seed, channels=(2, 3))
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(0, 1, (4, 1, 6, 6))
+            y = rng.integers(0, 3, 4)
+            report = gradient_check(net, x, y)
+            assert report.checked + report.skipped == 156
             assert report.passed, f"seed {seed}: max rel err {report.max_rel}"
 
 
