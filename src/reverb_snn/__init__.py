@@ -22,7 +22,6 @@ from .numerics import conv2d, matmul
 from .reparam import fold_alpha, verify_equivalence
 from .training import (ForwardCache, Gradients, SgdOptimizer, TrainConfig,
                        aggregate_output, backward_stbp, ce_loss, ce_loss_grad,
-                       cosine_lr, evaluate_accuracy, forward_pass,
-                       gradient_check, sgd_step, train)
+                       cosine_lr, forward_pass, gradient_check, sgd_step, train)
 
 __version__ = "0.1.0"

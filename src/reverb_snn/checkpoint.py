@@ -29,6 +29,7 @@ binarized weights are exactly +/-1, which the sign bit reproduces.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -37,8 +38,7 @@ import numpy as np
 from .errors import ParseError, StateError
 from .layers import CONV, DENSE, BinaryLayer
 from .network import MODES, Network
-from .neuron import FireMode, NeuronParams
-from .numerics import as_f64
+from .neuron import FireMode, NeuronParams, _folded_threshold
 
 MAGIC = b"RVRB"
 VERSION = 1
@@ -125,6 +125,13 @@ class _Reader:
 
 def load_checkpoint(path) -> Network:
     r = _Reader(Path(path).read_bytes())
+    try:
+        return _decode(r)
+    except ValueError as exc:  # a decoded value broke a layer/neuron/network invariant
+        raise ParseError(f"corrupt checkpoint: {exc}", offset=r.pos) from exc
+
+
+def _decode(r: _Reader) -> Network:
     magic, version, form, mode_id, timesteps, tau, v_th = r.unpack("4sIBBIdd")
     if magic != MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
@@ -143,8 +150,10 @@ def load_checkpoint(path) -> Network:
         if kind_id >= len(_KINDS) or fire_id >= len(_FIRE_MODES):
             raise ParseError("corrupt layer header", offset=r.pos)
         (w_ndim,) = r.unpack("B")
+        if w_ndim == 0:
+            raise ParseError("layer weights have no axes", offset=r.pos - 1)
         w_shape = tuple(r.unpack(f"{w_ndim}I"))
-        n_weights = int(np.prod(w_shape))
+        n_weights = math.prod(w_shape)
         if form and binarize:
             packed = np.frombuffer(r.take((n_weights + 7) // 8), dtype=np.uint8)
             bits = np.unpackbits(packed, count=n_weights, bitorder="little")
@@ -163,10 +172,8 @@ def load_checkpoint(path) -> Network:
         fire_mode = _FIRE_MODES[fire_id]
         if fire_mode is FireMode.SCALED_REAL:
             scale = r.f64(out_channels)
-            # Reconstruct the folded per-channel threshold exactly as
-            # fold_alpha computed it from the base scalar.
-            thr = as_f64(np.atleast_1d(v_th)) / scale if v_th != 0 else v_th
-            neurons.append(NeuronParams(tau=tau, v_th=thr, mode=fire_mode, scale=scale))
+            neurons.append(NeuronParams(tau=tau, v_th=_folded_threshold(v_th, scale),
+                                        mode=fire_mode, scale=scale))
         else:
             neurons.append(NeuronParams(tau=tau, v_th=v_th, mode=fire_mode))
         layers.append(layer)

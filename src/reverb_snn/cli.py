@@ -91,6 +91,9 @@ def cmd_reparam(args) -> int:
     diff = verify_equivalence(net, folded, probes)
     print(f"reparameterized {len(net.layers)} layers; "
           f"max output difference over {args.probes} probes: {diff:.3e}")
+    if not diff <= 1e-9:
+        print("FAIL: fold is off by more than 1e-9; nothing written", file=sys.stderr)
+        return 1
     _atomic_save(folded, Path(args.out))
     print(f"wrote inference-form checkpoint -> {args.out}")
     return 0
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reparam", help="fold amplitudes into firing scales")
     r.add_argument("--checkpoint", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--probes", type=int, default=32)
+    r.add_argument("--probes", type=_positive_int, default=32)
     r.add_argument("--seed", type=int, default=0)
     r.set_defaults(func=cmd_reparam)
 

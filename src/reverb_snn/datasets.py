@@ -204,6 +204,9 @@ def _load_csv_dir(directory: Path, seed: int) -> Dataset:
 
     train_x, train_y = _stack(train_parts)
     test_x, test_y = _stack(test_parts)
+    if len(test_y) == 0:
+        raise ParseError(f"{directory}: the 80/20 split leaves no test samples "
+                         f"(every class has fewer than 3 rows)")
     return Dataset(directory.name, train_x, train_y, test_x, test_y)
 
 

@@ -10,16 +10,19 @@ a zero map and sweeps the kernel taps over it, as `conv2d` does. Inference
 (`event_forward`) runs the same LIF loop as the dense forward pass, so the
 two paths agree bitwise by construction.
 
-Operation counts follow the synaptic-operation model: binarized (middle)
-layers cost one SOP per accumulate, which over a dataset equals
-s * T * A with s the mean input sparsity and A the equivalent dense-network
-addition count; the real-weight encoder and classifier cost one FLOP per
-multiply-accumulate, charged once per timestep. Energy uses 12.5 pJ per FLOP
-and 77 fJ per SOP.
+Operation counts follow the synaptic-operation model. A layer's
+multiply-accumulates (MACs) per sample are its output size times its fan-in,
+dense or conv. Binarized (middle) layers cost one SOP per accumulate, which
+over a dataset equals s * T * A with s the mean input sparsity and A their
+MAC count; the real-weight encoder and classifier cost one FLOP per MAC,
+charged once per timestep. Energy uses 12.5 pJ per FLOP and 77 fJ per SOP.
+Dense and event evaluation share one loop (`_evaluate`) and differ only in
+how a batch's logits are computed and where the SOP count comes from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +44,6 @@ class EventList:
 
     indices: np.ndarray
     values: np.ndarray
-    layer_id: int = -1
-    t: int = 0
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -58,11 +59,11 @@ class EventList:
         return int(self.indices.size)
 
 
-def events_from_spikes(spikes: np.ndarray, layer_id: int = -1, t: int = 0) -> EventList:
+def events_from_spikes(spikes: np.ndarray) -> EventList:
     """Extract the nonzero entries of one sample's spike tensor, row-major."""
     flat = as_f64(spikes).reshape(-1)
     idx = np.nonzero(flat)[0]
-    return EventList(indices=idx, values=flat[idx], layer_id=layer_id, t=t)
+    return EventList(indices=idx, values=flat[idx])
 
 
 @dataclass
@@ -143,36 +144,24 @@ class SparsityMeter:
         return num / den
 
 
+def _layer_macs(net: Network) -> list[int]:
+    """Multiply-accumulates per sample of each layer: output size times fan-in."""
+    return [math.prod(shape) * math.prod(layer.w_latent.shape[1:])
+            for layer, shape in zip(net.layers, net.layer_output_shapes())]
+
+
 def layer_additions(net: Network) -> dict[int, int]:
     """Equivalent dense-network addition count A per middle (SOP) layer."""
-    shapes = net.layer_output_shapes()
-    out = {}
-    for l, layer in enumerate(net.layers):
-        if 0 < l < len(net.layers) - 1:
-            if layer.kind == DENSE:
-                out[l] = layer.w_latent.shape[0] * layer.w_latent.shape[1]
-            else:
-                c_out, c_in, k, _ = layer.w_latent.shape
-                _, h_o, w_o = shapes[l]
-                out[l] = c_out * h_o * w_o * c_in * k * k
-    return out
+    macs = _layer_macs(net)
+    return {l: macs[l] for l in range(1, len(macs) - 1)}
 
 
 def count_flops(net: Network, timesteps: int | None = None) -> int:
     """Multiply-accumulates of the real-weight encoder and classifier, charged
     once per timestep presentation."""
     T = net.timesteps if timesteps is None else timesteps
-    shapes = net.layer_output_shapes()
-    total = 0
-    for l in (0, len(net.layers) - 1):
-        layer = net.layers[l]
-        if layer.kind == DENSE:
-            total += layer.w_latent.shape[0] * layer.w_latent.shape[1]
-        else:
-            c_out, c_in, k, _ = layer.w_latent.shape
-            _, h_o, w_o = shapes[l]
-            total += c_out * h_o * w_o * c_in * k * k
-    return total * T
+    macs = _layer_macs(net)
+    return (macs[0] + macs[-1]) * T
 
 
 def count_sops(net: Network, sparsity: float, timesteps: int | None = None) -> float:
@@ -247,7 +236,7 @@ def event_forward(net: Network, sample: np.ndarray, timesteps: int | None = None
     def current(t, l, x):
         layer = net.layers[l]
         if 0 < l < last and layer.binarize:
-            events = events_from_spikes(x[0], layer_id=l - 1, t=t)
+            events = events_from_spikes(x[0])
             return addition_only_forward(layer, events, x.shape[1:], counter)[None]
         if layer.kind == DENSE:
             return matmul(x, layer.w_latent.T)
@@ -259,6 +248,29 @@ def event_forward(net: Network, sample: np.ndarray, timesteps: int | None = None
     return [o[0] for o in outputs]
 
 
+def _evaluate(net: Network, x, y, timesteps, batch_size: int, logits, sops):
+    """Top-1 accuracy and a per-image EnergyReport. `logits(xb, meter)` gives a
+    batch's timestep-averaged outputs and records its middle layers' inputs in
+    `meter`; `sops(sparsity)` gives the SOPs per sample."""
+    x = as_f64(x)
+    y = np.asarray(y)
+    T = net.timesteps if timesteps is None else timesteps
+    meter = SparsityMeter()
+    correct = 0
+    for start in range(0, len(x), batch_size):
+        o = logits(x[start : start + batch_size], meter)
+        correct += int((o.argmax(axis=1) == y[start : start + batch_size]).sum())
+    sparsity = meter.mean(layer_additions(net))
+    report = estimate_energy(
+        flops=count_flops(net, T),
+        sops=sops(sparsity),
+        sparsity=sparsity,
+        sparsity_per_layer=meter.per_layer(),
+        timesteps=T,
+    )
+    return correct / len(x), report
+
+
 def evaluate_event_driven(net: Network, x, y, timesteps: int | None = None):
     """Top-1 accuracy plus a measured per-image EnergyReport over a test set.
 
@@ -267,50 +279,25 @@ def evaluate_event_driven(net: Network, x, y, timesteps: int | None = None):
     """
     if not net.inference_form:
         raise ModeError("event-driven evaluation requires an inference-form network")
-    x = as_f64(x)
-    y = np.asarray(y)
-    T = net.timesteps if timesteps is None else timesteps
     counter = OpCounter()
-    meter = SparsityMeter()
-    correct = 0
-    for i in range(len(x)):
-        outputs = event_forward(net, x[i], T, counter, meter)
-        o = np.mean(np.stack(outputs, axis=0), axis=0)
-        if int(np.argmax(o)) == int(y[i]):
-            correct += 1
-    additions = layer_additions(net)
-    report = estimate_energy(
-        flops=count_flops(net, T),
-        sops=counter.accumulations / len(x),
-        sparsity=meter.mean(additions),
-        sparsity_per_layer=meter.per_layer(),
-        timesteps=T,
-    )
-    return correct / len(x), report, counter
+
+    def logits(xb, meter):
+        return aggregate_output(event_forward(net, xb[0], timesteps, counter, meter))[None]
+
+    acc, report = _evaluate(net, x, y, timesteps, 1, logits,
+                            lambda sparsity: counter.accumulations / len(x))
+    return acc, report, counter
 
 
 def evaluate_dense(net: Network, x, y, timesteps: int | None = None,
                    batch_size: int = 256):
     """Dense-path evaluation for trained-form networks: accuracy plus an
     EnergyReport with SOPs estimated as s * T * A from measured sparsity."""
-    x = as_f64(x)
-    y = np.asarray(y)
-    T = net.timesteps if timesteps is None else timesteps
-    meter = SparsityMeter()
-    correct = 0
-    for start in range(0, len(x), batch_size):
-        xb = x[start : start + batch_size]
-        outputs, cache = forward_pass(net, xb, T)
-        o = aggregate_output(outputs)
-        correct += int((o.argmax(axis=1) == y[start : start + batch_size]).sum())
+
+    def logits(xb, meter):
+        outputs, cache = forward_pass(net, xb, timesteps)
         _record_sparsity(meter, cache.inputs)
-    additions = layer_additions(net)
-    sparsity = meter.mean(additions)
-    report = estimate_energy(
-        flops=count_flops(net, T),
-        sops=count_sops(net, sparsity, T),
-        sparsity=sparsity,
-        sparsity_per_layer=meter.per_layer(),
-        timesteps=T,
-    )
-    return correct / len(x), report
+        return aggregate_output(outputs)
+
+    return _evaluate(net, x, y, timesteps, batch_size, logits,
+                     lambda sparsity: count_sops(net, sparsity, timesteps))

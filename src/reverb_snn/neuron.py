@@ -96,6 +96,13 @@ def _per_channel(vec: np.ndarray, u: np.ndarray) -> np.ndarray:
     return vec.reshape(shape)
 
 
+def _folded_threshold(v_th, scale: np.ndarray):
+    """Per-channel gate of a layer whose amplitude `scale` was folded out of
+    its membrane: v_th / scale. A zero threshold stays zero."""
+    v = np.atleast_1d(v_th)
+    return as_f64(v) / scale if np.any(v != 0) else v_th
+
+
 def threshold_for(u: np.ndarray, params: NeuronParams):
     v = params.v_th
     if isinstance(v, np.ndarray) and v.ndim == 1:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError
 from .layers import binarize_weights
 from .network import Network
-from .neuron import FireMode, NeuronParams
+from .neuron import FireMode, NeuronParams, _folded_threshold
 from .numerics import as_f64
 from .training import aggregate_output, forward_pass
 
@@ -56,8 +56,7 @@ def fold_alpha(net: Network) -> Network:
         nrn = folded.neurons[l]
         folded.neurons[l] = NeuronParams(
             tau=nrn.tau,
-            v_th=as_f64(np.atleast_1d(nrn.v_th)) / scale if np.any(np.atleast_1d(nrn.v_th) != 0)
-            else nrn.v_th,
+            v_th=_folded_threshold(nrn.v_th, scale),
             mode=FireMode.SCALED_REAL,
             scale=scale,
         )

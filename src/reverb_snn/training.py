@@ -334,18 +334,6 @@ def train(net: Network, data, cfg: TrainConfig):
     return net, metrics
 
 
-def evaluate_accuracy(net: Network, x, y, batch_size: int = 256) -> float:
-    """Top-1 accuracy of the aggregated output over a dataset (dense path)."""
-    x = as_f64(x)
-    y = np.asarray(y)
-    correct = 0
-    for start in range(0, len(x), batch_size):
-        outputs, _ = forward_pass(net, x[start : start + batch_size])
-        o = aggregate_output(outputs)
-        correct += int((o.argmax(axis=1) == y[start : start + batch_size]).sum())
-    return correct / len(x)
-
-
 @dataclass
 class GradCheckReport:
     max_rel_w: float

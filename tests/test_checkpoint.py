@@ -1,12 +1,14 @@
 """Checkpoint round-trips and the 1-bit packed inference payload."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from reverb_snn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from reverb_snn.errors import ParseError
+from reverb_snn.errors import EngineError, ParseError
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, MODE_VANILLA,
-                                build_convnet, build_mlp)
+                                Network, build_convnet, build_mlp)
 from reverb_snn.neuron import FireMode
 from reverb_snn.reparam import fold_alpha, verify_equivalence
 
@@ -148,3 +150,57 @@ def test_scaled_mode_preserved(tmp_path):
     np.testing.assert_array_equal(
         np.atleast_1d(loaded.neurons[1].v_th), np.atleast_1d(folded.neurons[1].v_th)
     )
+
+
+@pytest.mark.parametrize("form", ["trained", "folded"])
+def test_every_single_bit_flip_loads_or_raises_engine_error(tmp_path, form):
+    # Corrupt headers, shapes, amplitudes, scales and thresholds must end in a
+    # typed error (or a network), never in a bare ValueError or IndexError.
+    net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2, affine=True)
+    if form == "folded":
+        net = fold_alpha(net)
+        assert net.neurons[1].mode is FireMode.SCALED_REAL
+    path = tmp_path / "m.rvrb"
+    save_checkpoint(net, path)
+    data = path.read_bytes()
+    flipped = tmp_path / "flipped.rvrb"
+    for bit in range(8 * len(data)):
+        corrupt = bytearray(data)
+        corrupt[bit // 8] ^= 1 << (bit % 8)
+        flipped.write_bytes(bytes(corrupt))
+        try:
+            with np.errstate(all="ignore"):
+                assert isinstance(load_checkpoint(flipped), Network)
+        except EngineError:
+            pass
+
+
+def test_zero_dim_weights_are_parse_error(tmp_path):
+    net = build_mlp((2,), 2, MODE_REVERB, timesteps=1, hidden=2)
+    path = tmp_path / "z.rvrb"
+    save_checkpoint(net, path)
+    data = bytearray(path.read_bytes())
+    # The first layer's weight ndim byte follows the header, the 1-D input
+    # shape, the class/layer counts and the layer's own header fields.
+    pos = struct.calcsize("<4sIBBIdd" "B" "I" "II" "5B2I")
+    assert data[pos] == 2
+    data[pos] = 0
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="no axes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [("timesteps", 0), ("alpha", -1.0), ("tau", 2.0)])
+def test_broken_invariant_is_parse_error(tmp_path, field, value):
+    net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2)
+    if field == "timesteps":
+        net.timesteps = value
+    elif field == "alpha":
+        net.layers[1].alpha[0] = value
+    else:
+        for nrn in net.neurons:
+            nrn.tau = value
+    path = tmp_path / "b.rvrb"
+    save_checkpoint(net, path)
+    with pytest.raises(ParseError, match="corrupt checkpoint"):
+        load_checkpoint(path)

@@ -104,6 +104,34 @@ class TestTrain:
 
 
 class TestReparam:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_probes_is_parse_error(self, tmp_path, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reparam", "--checkpoint", str(tmp_path / "none.rvrb"),
+                  "--out", str(tmp_path / "f.rvrb"), "--probes", value])
+        assert exc.value.code == 2
+        assert "--probes" in capsys.readouterr().err
+
+    def test_wrong_fold_exits_one_and_writes_nothing(self, trained, tmp_path,
+                                                     monkeypatch, capsys):
+        import reverb_snn.cli as cli
+        from reverb_snn.reparam import fold_alpha
+
+        def corrupting_fold(net):
+            folded = fold_alpha(net)
+            folded.layers[-1].w_latent += 0.5
+            return folded
+
+        monkeypatch.setattr(cli, "fold_alpha", corrupting_fold)
+        _, out = trained
+        folded = tmp_path / "folded.rvrb"
+        assert main(["reparam", "--checkpoint", str(out), "--out", str(folded)]) == 1
+        captured = capsys.readouterr()
+        diff = float(captured.out.split("max output difference over 32 probes:")[1].split()[0])
+        assert diff > 1e-9
+        assert "FAIL" in captured.err
+        assert not folded.exists()
+
     def test_fold_prints_max_diff_and_writes(self, trained, tmp_path, capsys):
         _, out = trained
         folded = tmp_path / "folded.rvrb"
@@ -132,6 +160,28 @@ class TestReparam:
         np.testing.assert_array_equal(
             mid_f.w_latent, np.where(mid_t.w_latent >= 0, 1.0, -1.0)
         )
+
+
+class TestEmptyTestSplit:
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_train_and_eval_are_parse_errors(self, tmp_path, folded, capsys):
+        from reverb_snn.checkpoint import save_checkpoint
+        from reverb_snn.network import MODE_LEARNABLE, build_mlp
+        from reverb_snn.reparam import fold_alpha
+
+        csvs = tmp_path / "csv"
+        csvs.mkdir()
+        for c in range(2):
+            (csvs / f"{c}.csv").write_text("0.1,0.9\n")
+        cfg = write_config(tmp_path / "run.cfg", dataset=str(csvs))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.rvrb")]) == 2
+        assert "no test samples" in capsys.readouterr().err
+
+        net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2)
+        ckpt = tmp_path / "net.rvrb"
+        save_checkpoint(fold_alpha(net) if folded else net, ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csvs)]) == 2
+        assert "no test samples" in capsys.readouterr().err
 
 
 class TestEvalAndEnergy:

@@ -92,6 +92,14 @@ class TestCsvDirectory:
         with pytest.raises(ParseError):
             load_dataset(str(tmp_path), seed=0)
 
+    @pytest.mark.parametrize("n_per_class", [1, 2])
+    def test_empty_test_split_rejected(self, tmp_path, n_per_class):
+        # The 80/20 split keeps at least one row per class for training, so
+        # classes of one or two rows leave nothing to test on.
+        self._write_digit_csvs(tmp_path, n_per_class=n_per_class)
+        with pytest.raises(ParseError, match="no test samples"):
+            load_dataset(str(tmp_path), seed=0)
+
 
 class TestIdxDirectory:
     @staticmethod

@@ -370,13 +370,3 @@ class TestTrain:
         mid = net.layers[1]
         assert np.abs(mid.w_latent).max() <= 1.0
         assert mid.alpha.min() >= ALPHA_FLOOR
-
-    def test_evaluate_accuracy_matches_dense_eval(self):
-        from reverb_snn.events import evaluate_dense
-        from reverb_snn.training import evaluate_accuracy
-
-        ds = two_gaussians(n_train=64, n_test=48, seed=4)
-        net = build_mlp(ds.input_shape, 2, MODE_REVERB, timesteps=2, seed=4, hidden=8)
-        acc = evaluate_accuracy(net, ds.test_x, ds.test_y)
-        acc_dense, _ = evaluate_dense(net, ds.test_x, ds.test_y)
-        assert acc == acc_dense
