@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, StateError
+from .errors import DimensionError, ParseError, StateError
 from .layers import CONV, DENSE, BinaryLayer
 from .network import MODES, Network
 from .neuron import FireMode, NeuronParams, _folded_threshold
@@ -126,9 +126,11 @@ class _Reader:
 def load_checkpoint(path) -> Network:
     r = _Reader(Path(path).read_bytes())
     try:
-        return _decode(r)
-    except ValueError as exc:  # a decoded value broke a layer/neuron/network invariant
+        net = _decode(r)
+        net.layer_output_shapes()  # the decoded layers must chain
+    except (ValueError, DimensionError) as exc:  # a decoded value broke an invariant
         raise ParseError(f"corrupt checkpoint: {exc}", offset=r.pos) from exc
+    return net
 
 
 def _decode(r: _Reader) -> Network:

@@ -106,16 +106,16 @@ def _run_eval(args, with_accuracy: bool) -> int:
         raise DimensionError(
             f"dataset samples {data.input_shape} do not match network input {net.input_shape}"
         )
+    if args.timesteps is not None:
+        net.timesteps = args.timesteps
     if net.inference_form:
-        acc, report, counter = evaluate_event_driven(net, data.test_x, data.test_y,
-                                                     timesteps=args.timesteps)
+        acc, report, counter = evaluate_event_driven(net, data.test_x, data.test_y)
         print(f"kernel audit: weight-activation multiplications = "
               f"{counter.weight_activation_mults}, accumulations = {counter.accumulations}")
     else:
         print("warning: trained-form checkpoint, using the dense path "
               "(run `reparam` for addition-only inference)", file=sys.stderr)
-        acc, report = evaluate_dense(net, data.test_x, data.test_y,
-                                     timesteps=args.timesteps)
+        acc, report = evaluate_dense(net, data.test_x, data.test_y)
     if with_accuracy:
         print(f"accuracy: {acc:.4f} over {len(data.test_y)} test samples")
     print("energy-report: " + json.dumps(report.as_dict()))
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--dataset", required=True)
         e.add_argument("--seed", type=int, default=0)
         e.add_argument("--timesteps", type=_positive_int, default=None,
-                       help="override the checkpoint's timestep count")
+                       help="run the loaded network for this many timesteps")
         e.set_defaults(func=fn)
 
     g = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")

@@ -119,7 +119,7 @@ class SparsityMeter:
 
     Sparsity of layer l is (nonzero input spikes) / (input neuron-timestep
     opportunities); the network mean weights each layer by its addition
-    count A unless weighted=False.
+    count A.
     """
 
     nonzero: dict = field(default_factory=dict)
@@ -135,10 +135,8 @@ class SparsityMeter:
             raise StateError("no forward pass recorded")
         return {l: self.nonzero[l] / self.total[l] for l in sorted(self.total)}
 
-    def mean(self, additions: dict[int, int], weighted: bool = True) -> float:
+    def mean(self, additions: dict[int, int]) -> float:
         per = self.per_layer()
-        if not weighted:
-            return float(np.mean(list(per.values())))
         num = sum(per[l] * additions[l] for l in per)
         den = sum(additions[l] for l in per)
         return num / den
@@ -156,18 +154,16 @@ def layer_additions(net: Network) -> dict[int, int]:
     return {l: macs[l] for l in range(1, len(macs) - 1)}
 
 
-def count_flops(net: Network, timesteps: int | None = None) -> int:
+def count_flops(net: Network) -> int:
     """Multiply-accumulates of the real-weight encoder and classifier, charged
     once per timestep presentation."""
-    T = net.timesteps if timesteps is None else timesteps
     macs = _layer_macs(net)
-    return (macs[0] + macs[-1]) * T
+    return (macs[0] + macs[-1]) * net.timesteps
 
 
-def count_sops(net: Network, sparsity: float, timesteps: int | None = None) -> float:
+def count_sops(net: Network, sparsity: float) -> float:
     """s * T * A over the middle (addition-only) layers."""
-    T = net.timesteps if timesteps is None else timesteps
-    return sparsity * T * sum(layer_additions(net).values())
+    return sparsity * net.timesteps * sum(layer_additions(net).values())
 
 
 @dataclass
@@ -213,8 +209,7 @@ def _record_sparsity(meter: SparsityMeter, inputs: list) -> None:
             meter.record(l, step[l])
 
 
-def event_forward(net: Network, sample: np.ndarray, timesteps: int | None = None,
-                  counter: OpCounter | None = None,
+def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None = None,
                   meter: SparsityMeter | None = None) -> list[np.ndarray]:
     """Run one sample through an inference-form network, using the
     addition-only kernel for every folded binarized layer.
@@ -230,7 +225,6 @@ def event_forward(net: Network, sample: np.ndarray, timesteps: int | None = None
         raise DimensionError(
             f"sample shape {sample.shape} does not match network input {net.input_shape}"
         )
-    T = net.timesteps if timesteps is None else timesteps
     last = len(net.layers) - 1
 
     def current(t, l, x):
@@ -242,19 +236,18 @@ def event_forward(net: Network, sample: np.ndarray, timesteps: int | None = None
             return matmul(x, layer.w_latent.T)
         return conv2d(x, layer.w_latent, layer.stride, layer.padding)
 
-    outputs, cache = _unroll(net, sample[None], T, current)
+    outputs, cache = _unroll(net, sample[None], current)
     if meter is not None:
         _record_sparsity(meter, cache.inputs)
     return [o[0] for o in outputs]
 
 
-def _evaluate(net: Network, x, y, timesteps, batch_size: int, logits, sops):
+def _evaluate(net: Network, x, y, batch_size: int, logits, sops):
     """Top-1 accuracy and a per-image EnergyReport. `logits(xb, meter)` gives a
     batch's timestep-averaged outputs and records its middle layers' inputs in
     `meter`; `sops(sparsity)` gives the SOPs per sample."""
     x = as_f64(x)
     y = np.asarray(y)
-    T = net.timesteps if timesteps is None else timesteps
     meter = SparsityMeter()
     correct = 0
     for start in range(0, len(x), batch_size):
@@ -262,16 +255,16 @@ def _evaluate(net: Network, x, y, timesteps, batch_size: int, logits, sops):
         correct += int((o.argmax(axis=1) == y[start : start + batch_size]).sum())
     sparsity = meter.mean(layer_additions(net))
     report = estimate_energy(
-        flops=count_flops(net, T),
+        flops=count_flops(net),
         sops=sops(sparsity),
         sparsity=sparsity,
         sparsity_per_layer=meter.per_layer(),
-        timesteps=T,
+        timesteps=net.timesteps,
     )
     return correct / len(x), report
 
 
-def evaluate_event_driven(net: Network, x, y, timesteps: int | None = None):
+def evaluate_event_driven(net: Network, x, y):
     """Top-1 accuracy plus a measured per-image EnergyReport over a test set.
 
     SOPs are the accumulations the kernel actually performed; FLOPs are the
@@ -282,22 +275,21 @@ def evaluate_event_driven(net: Network, x, y, timesteps: int | None = None):
     counter = OpCounter()
 
     def logits(xb, meter):
-        return aggregate_output(event_forward(net, xb[0], timesteps, counter, meter))[None]
+        return aggregate_output(event_forward(net, xb[0], counter=counter, meter=meter))[None]
 
-    acc, report = _evaluate(net, x, y, timesteps, 1, logits,
+    acc, report = _evaluate(net, x, y, 1, logits,
                             lambda sparsity: counter.accumulations / len(x))
     return acc, report, counter
 
 
-def evaluate_dense(net: Network, x, y, timesteps: int | None = None,
-                   batch_size: int = 256):
-    """Dense-path evaluation for trained-form networks: accuracy plus an
-    EnergyReport with SOPs estimated as s * T * A from measured sparsity."""
+def evaluate_dense(net: Network, x, y):
+    """Dense-path evaluation, in batches of 256 samples, for trained-form
+    networks: accuracy plus an EnergyReport with SOPs estimated as s * T * A
+    from measured sparsity."""
 
     def logits(xb, meter):
-        outputs, cache = forward_pass(net, xb, timesteps)
+        outputs, cache = forward_pass(net, xb)
         _record_sparsity(meter, cache.inputs)
         return aggregate_output(outputs)
 
-    return _evaluate(net, x, y, timesteps, batch_size, logits,
-                     lambda sparsity: count_sops(net, sparsity, timesteps))
+    return _evaluate(net, x, y, 256, logits, lambda sparsity: count_sops(net, sparsity))

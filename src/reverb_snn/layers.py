@@ -12,6 +12,12 @@ window [-1, 1] and zeroes them outside. The gradient check replaces sign by
 the clipped identity clip(W, -1, 1), whose exact derivative is that same
 window mask, so the analytic backward can be validated by finite
 differences.
+
+This module alone decides which parameters a layer trains (`_params`: the
+network's parameter list, the backward pass, the optimizer and the gradient
+check iterate it) and which kernel computes its synaptic current
+(`_contract`: the fixed-order matmul for dense layers, conv2d for conv
+layers; `forward` and `alpha_grad` call it).
 """
 
 from __future__ import annotations
@@ -79,6 +85,26 @@ class BinaryLayer:
         return self.affine_gamma is not None
 
 
+def _params(layer: BinaryLayer):
+    """Yield (name, array) for each parameter the layer trains: the latent
+    weights "w", the amplitude "alpha" when it is learnable, and the affine
+    "gamma" and "beta" when present. The names are Gradients' fields."""
+    yield "w", layer.w_latent
+    if layer.binarize and layer.learn_alpha:
+        yield "alpha", layer.alpha
+    if layer.has_affine:
+        yield "gamma", layer.affine_gamma
+        yield "beta", layer.affine_beta
+
+
+def _contract(layer: BinaryLayer, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Current of input x through weights w of the layer's shape: x . w^T for
+    a dense layer, the layer's strided, padded conv2d for a conv layer."""
+    if layer.kind == DENSE:
+        return matmul(x, w.T)
+    return conv2d(x, w, layer.stride, layer.padding)
+
+
 def binarize_weights(w: np.ndarray) -> np.ndarray:
     """sign(w) with the zero entry mapped to +1."""
     w = as_f64(w)
@@ -112,13 +138,8 @@ def forward(layer: BinaryLayer, spikes: np.ndarray, surrogate: bool = False) -> 
     is binarized and the raw latent weights otherwise. The optional affine
     is applied by the network forward, not here.
     """
-    spikes = as_f64(spikes)
     w = effective_weights(layer, surrogate) if layer.binarize else layer.w_latent
-    if layer.kind == DENSE:
-        if spikes.ndim != 2:
-            raise DimensionError(f"dense layer expects (B, in) spikes, got {spikes.shape}")
-        return matmul(spikes, w.T)
-    return conv2d(spikes, w, layer.stride, layer.padding)
+    return _contract(layer, spikes, w)
 
 
 def ste_weight_grad(grad_out_w_b: np.ndarray, w_latent: np.ndarray) -> np.ndarray:
@@ -146,11 +167,10 @@ def alpha_grad(
     per-timestep results.
     """
     unit_w = latent_transform(layer.w_latent, surrogate)
-    if layer.kind == DENSE:
-        unit_current = matmul(as_f64(spikes_in), unit_w.T)
-        return np.einsum("bc,bc->c", as_f64(grad_u), unit_current)
-    unit_current = conv2d(spikes_in, unit_w, layer.stride, layer.padding)
-    return np.einsum("bchw,bchw->c", as_f64(grad_u), unit_current)
+    unit_current = _contract(layer, spikes_in, unit_w)
+    per_channel = unit_current.shape[:2] + (-1,)
+    return np.einsum("bcn,bcn->c", as_f64(grad_u).reshape(per_channel),
+                     unit_current.reshape(per_channel))
 
 
 def clip_latent(layer: BinaryLayer) -> BinaryLayer:

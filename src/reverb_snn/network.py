@@ -15,12 +15,13 @@ weights; only middle layers are ever binarized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .layers import CONV, DENSE, BinaryLayer
+from .layers import CONV, DENSE, BinaryLayer, _params
 from .neuron import FireMode, NeuronParams
 from .numerics import conv_output_size
 
@@ -58,7 +59,7 @@ class Network:
         cur = tuple(self.input_shape)
         for layer in self.layers:
             if layer.kind == DENSE:
-                n_in = int(np.prod(cur))
+                n_in = math.prod(cur)
                 if n_in != layer.w_latent.shape[1]:
                     raise DimensionError(
                         f"dense layer expects {layer.w_latent.shape[1]} inputs, "
@@ -81,12 +82,8 @@ class Network:
     def parameters(self):
         """Yield (name, array) for every trainable parameter."""
         for i, layer in enumerate(self.layers):
-            yield f"layer{i}.w", layer.w_latent
-            if layer.binarize and layer.learn_alpha:
-                yield f"layer{i}.alpha", layer.alpha
-            if layer.has_affine:
-                yield f"layer{i}.gamma", layer.affine_gamma
-                yield f"layer{i}.beta", layer.affine_beta
+            for name, param in _params(layer):
+                yield f"layer{i}.{name}", param
 
 
 def _alpha_init(w: np.ndarray, learnable: bool) -> np.ndarray:

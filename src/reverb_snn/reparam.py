@@ -64,8 +64,7 @@ def fold_alpha(net: Network) -> Network:
     return folded
 
 
-def verify_equivalence(net: Network, inf_net: Network, probes: np.ndarray,
-                       timesteps: int | None = None) -> float:
+def verify_equivalence(net: Network, inf_net: Network, probes: np.ndarray) -> float:
     """Max aggregated-output difference between the two networks over a probe
     batch, relative to the output magnitude (floored at 1)."""
     probes = as_f64(probes)
@@ -73,7 +72,7 @@ def verify_equivalence(net: Network, inf_net: Network, probes: np.ndarray,
         raise DimensionError(
             f"probe shape {probes.shape[1:]} does not match network input {net.input_shape}"
         )
-    a = aggregate_output(forward_pass(net, probes, timesteps)[0])
-    b = aggregate_output(forward_pass(inf_net, probes, timesteps)[0])
+    a = aggregate_output(forward_pass(net, probes)[0])
+    b = aggregate_output(forward_pass(inf_net, probes)[0])
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom))

@@ -61,18 +61,19 @@ def _feed_shape(layer: L.BinaryLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _unroll(net: Network, batch: np.ndarray, T: int, current_fn, surrogate: bool = False):
+def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False):
     """The LIF loop shared by the dense and event paths.
 
-    For each timestep and layer, `current_fn(t, l, x)` gives the synaptic
-    current of layer l from its batched input x; the loop applies the
-    optional per-channel affine, integrates, and fires every layer but the
-    non-firing head. Returns the per-timestep outputs and the ForwardCache.
+    For each of the network's `timesteps` (the only source of T) and each
+    layer, `current_fn(t, l, x)` gives the synaptic current of layer l from
+    its batched input x; the loop applies the optional per-channel affine,
+    integrates, and fires every layer but the non-firing head. Returns the
+    per-timestep outputs and the ForwardCache.
     """
     states: list[LifState | None] = [None] * len(net.layers)
-    cache = ForwardCache(net, T, surrogate, [], [], [])
+    cache = ForwardCache(net, net.timesteps, surrogate, [], [], [])
     outputs = []
-    for t in range(T):
+    for t in range(net.timesteps):
         x = batch
         cache.inputs.append([])
         cache.u_pre.append([])
@@ -98,9 +99,8 @@ def _unroll(net: Network, batch: np.ndarray, T: int, current_fn, surrogate: bool
     return outputs, cache
 
 
-def forward_pass(net: Network, batch: np.ndarray, timesteps: int | None = None,
-                 surrogate: bool = False):
-    """Run the network for T steps under direct encoding.
+def forward_pass(net: Network, batch: np.ndarray, *, surrogate: bool = False):
+    """Run the network for its T = net.timesteps steps under direct encoding.
 
     The static input is presented identically at every timestep. Every layer
     except the last integrates and fires; the classifier head is a non-firing
@@ -118,8 +118,7 @@ def forward_pass(net: Network, batch: np.ndarray, timesteps: int | None = None,
             f"batch samples of shape {batch.shape[1:]} do not match "
             f"network input {net.input_shape}"
         )
-    T = net.timesteps if timesteps is None else timesteps
-    return _unroll(net, batch, T, lambda t, l, x: L.forward(net.layers[l], x, surrogate),
+    return _unroll(net, batch, lambda t, l, x: L.forward(net.layers[l], x, surrogate),
                    surrogate)
 
 
@@ -177,13 +176,11 @@ def backward_stbp(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> G
     nl = len(net.layers)
     surrogate = cache.surrogate
 
-    grads = Gradients(
-        w=[np.zeros_like(layer.w_latent) for layer in net.layers],
-        alpha=[np.zeros_like(l.alpha) if (l.binarize and l.learn_alpha) else None
-               for l in net.layers],
-        gamma=[np.zeros_like(l.affine_gamma) if l.has_affine else None for l in net.layers],
-        beta=[np.zeros_like(l.affine_beta) if l.has_affine else None for l in net.layers],
-    )
+    grads = Gradients([], [], [], [])
+    for layer in net.layers:
+        zeros = {name: np.zeros_like(p) for name, p in L._params(layer)}
+        for name, per_layer in vars(grads).items():
+            per_layer.append(zeros.get(name))
     # dL/dO^t for the output layer: the mean over timesteps spreads loss_grad/T.
     g_out_t = as_f64(loss_grad) / T
     g_u_next: list[np.ndarray | None] = [None] * nl
@@ -264,20 +261,10 @@ class SgdOptimizer:
     def step(self, net: Network, grads: Gradients, lr: float) -> None:
         params, gs, vs = [], [], []
         for i, layer in enumerate(net.layers):
-            params.append(layer.w_latent)
-            gs.append(grads.w[i])
-            vs.append(self.velocity[f"layer{i}.w"])
-            if grads.alpha[i] is not None:
-                params.append(layer.alpha)
-                gs.append(grads.alpha[i])
-                vs.append(self.velocity[f"layer{i}.alpha"])
-            if layer.has_affine:
-                params.append(layer.affine_gamma)
-                gs.append(grads.gamma[i])
-                vs.append(self.velocity[f"layer{i}.gamma"])
-                params.append(layer.affine_beta)
-                gs.append(grads.beta[i])
-                vs.append(self.velocity[f"layer{i}.beta"])
+            for name, p in L._params(layer):
+                params.append(p)
+                gs.append(getattr(grads, name)[i])
+                vs.append(self.velocity[f"layer{i}.{name}"])
         sgd_step(params, gs, vs, lr, self.momentum)
         for layer in net.layers:
             if layer.binarize:
@@ -399,20 +386,15 @@ def gradient_check(net: Network, batch, labels, eps: float = 1e-6,
             n_checked += 1
         return worst, n_checked, n_skipped
 
-    max_w = max_a = max_f = 0.0
+    def near_boundary(v) -> bool:
+        return min(abs(v), abs(abs(v) - 1.0)) <= boundary_margin
+
+    max_err = dict.fromkeys(vars(grads), 0.0)
     checked = skipped = 0
     for l, layer in enumerate(net.layers):
-        near_boundary = None
-        if layer.binarize:
-            near_boundary = lambda v: min(abs(v), abs(abs(v) - 1.0)) <= boundary_margin
-        worst, n, s = fd_sweep(layer.w_latent, grads.w[l], near_boundary)
-        max_w, checked, skipped = max(max_w, worst), checked + n, skipped + s
-        if grads.alpha[l] is not None:
-            worst, n, _ = fd_sweep(layer.alpha, grads.alpha[l])
-            max_a, checked = max(max_a, worst), checked + n
-        if layer.has_affine:
-            for param, analytic in ((layer.affine_gamma, grads.gamma[l]),
-                                    (layer.affine_beta, grads.beta[l])):
-                worst, n, _ = fd_sweep(param, analytic)
-                max_f, checked = max(max_f, worst), checked + n
-    return GradCheckReport(max_w, max_a, checked, skipped, tolerance, max_f)
+        for name, param in L._params(layer):
+            skip = near_boundary if name == "w" and layer.binarize else None
+            err, n, s = fd_sweep(param, getattr(grads, name)[l], skip)
+            max_err[name], checked, skipped = max(max_err[name], err), checked + n, skipped + s
+    return GradCheckReport(max_err["w"], max_err["alpha"], checked, skipped, tolerance,
+                           max(max_err["gamma"], max_err["beta"]))

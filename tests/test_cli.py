@@ -219,6 +219,28 @@ class TestEvalAndEnergy:
         )
         assert "accuracy" not in printed
 
+    @pytest.mark.parametrize("command", ["eval", "energy"])
+    def test_timesteps_sets_the_loaded_networks_t(self, trained, tmp_path, command, capsys):
+        # The fixture trains at T = 2. FLOPs are charged once per timestep, and
+        # at a zero threshold each layer's spike pattern repeats every step,
+        # so at T = 4 the FLOPs and the event accumulations double.
+        _, out = trained
+        folded = tmp_path / "folded.rvrb"
+        main(["reparam", "--checkpoint", str(out), "--out", str(folded)])
+        for ckpt in (out, folded):
+            printed = []
+            for extra in ([], ["--timesteps", "4"]):
+                capsys.readouterr()
+                assert main([command, "--checkpoint", str(ckpt),
+                             "--dataset", "two-gaussians"] + extra) == 0
+                printed.append(capsys.readouterr().out)
+            reports = [json.loads(p.split("energy-report: ")[1]) for p in printed]
+            assert [r["timesteps"] for r in reports] == [2, 4]
+            assert reports[1]["flops"] == 2 * reports[0]["flops"]
+            if ckpt == folded:
+                acc = [int(p.split("accumulations = ")[1].split()[0]) for p in printed]
+                assert acc[0] > 0 and acc[1] == 2 * acc[0]
+
     def test_dataset_shape_mismatch_exit_code(self, trained, capsys):
         _, out = trained
         assert main(["eval", "--checkpoint", str(out),
