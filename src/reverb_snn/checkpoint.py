@@ -127,7 +127,8 @@ def load_checkpoint(path) -> Network:
     r = _Reader(Path(path).read_bytes())
     try:
         net = _decode(r)
-        net.layer_output_shapes()  # the decoded layers must chain
+        if net.layer_output_shapes()[-1:] != [(net.num_classes,)]:  # chain into the head
+            raise ValueError(f"num_classes {net.num_classes} is not the head's output count")
     except (ValueError, DimensionError) as exc:  # a decoded value broke an invariant
         raise ParseError(f"corrupt checkpoint: {exc}", offset=r.pos) from exc
     return net

@@ -1,12 +1,13 @@
 """Plain-text run configuration: one `key = value` per line, `#` comments.
 
-Unknown keys are rejected. Defaults carry the standard training recipe
-(tau 0.25, v_th 0, SGD momentum 0.9, initial learning rate 0.1 with cosine
-decay to zero).
+Unknown keys and out-of-range values are rejected. Defaults carry the
+standard training recipe (tau 0.25, v_th 0, SGD momentum 0.9, initial
+learning rate 0.1 with cosine decay to zero).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -38,12 +39,18 @@ class RunConfig:
     affine: bool = False
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ParseError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.architecture not in ARCHITECTURES:
-            raise ParseError(
-                f"architecture must be one of {ARCHITECTURES}, got {self.architecture!r}"
-            )
+        # Comparisons with NaN are false, so NaN fails every range rule.
+        rules = (("mode", self.mode in MODES, f"one of {MODES}"),
+                 ("architecture", self.architecture in ARCHITECTURES, f"one of {ARCHITECTURES}"),
+                 ("tau", 0.0 <= self.tau <= 1.0, "in [0, 1]"),
+                 ("v_th", math.isfinite(self.v_th), "finite"),
+                 ("lr0", 0.0 <= self.lr0 < math.inf, "finite and >= 0"),
+                 ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                 ("timesteps", self.timesteps >= 1, ">= 1"), ("batch", self.batch >= 1, ">= 1"),
+                 ("epochs", self.epochs >= 0, ">= 0"))
+        for name, ok, rule in rules:
+            if not ok:
+                raise ParseError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 _PARSERS = {

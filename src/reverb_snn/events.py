@@ -109,8 +109,8 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
     pairs = list(pairs)
     if counter is not None:
         # Each nonzero in a tap's patch is one (event, ky, kx) landing on an output.
-        counter.accumulations += shape[1] * int(sum(np.count_nonzero(p) for p, _ in pairs))
-    return _accumulate(shape, pairs, signed=True)[0]
+        counter.accumulations += shape[0] * int(sum(np.count_nonzero(p) for p, _ in pairs))
+    return _accumulate(shape, pairs, signed=True)[:, 0]
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Everything is float64 and row-major. `matmul` and `conv2d` reduce through
 `_accumulate`, the one fixed-order reduction of the package; the event kernel
 in `events.py` runs the same reduction with a sign-select term, so its
-results can be checked for bitwise equality against these kernels.
+results can be checked for bitwise equality against these kernels. The conv
+reduction runs channel-major, which changes no output's term order and no bit.
 
 The backward helpers (`*_grad`) have no ordering contract; they only need to
 be deterministic, which numpy's einsum (optimize left off) guarantees.
@@ -89,18 +90,18 @@ def pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _conv_pairs(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
-    """Output shape and (input patch, weight column) pairs of the conv of the
-    (B, C_in, H, W) batch `x`, in ascending (c_in, ky, kx) order; each pair's
-    product broadcasts to the (B, C_out, H_out, W_out) output."""
+    """Channel-major output shape (C_out, B, H_out, W_out) and (contiguous
+    (B, H_out, W_out) patch, weight column) pairs of the conv of the
+    (B, C_in, H, W) batch `x`, in ascending (c_in, ky, kx) order."""
     batch, c_in, h, w = x.shape
     _check_conv_args(c_in, h, w, kernels, stride, padding)
     c_out, _, k, _ = kernels.shape
     out_hw = (conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding))
-    xp = pad_spatial(x, padding)
-    columns = kernels.transpose(1, 2, 3, 0).reshape(-1, c_out, 1, 1)
-    patches = (xp[:, c, None][_tap(ky, kx, stride, out_hw)]
+    xp = pad_spatial(x, padding).transpose(1, 0, 2, 3)
+    columns = kernels.transpose(1, 2, 3, 0).reshape(-1, c_out, 1, 1, 1)
+    patches = (np.ascontiguousarray(xp[c][_tap(ky, kx, stride, out_hw)])
                for c in range(c_in) for ky in range(k) for kx in range(k))
-    return (batch, c_out) + out_hw, zip(patches, columns)
+    return (c_out, batch) + out_hw, zip(patches, columns)
 
 
 def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -109,7 +110,8 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
     `inp` is (C_in, H, W) or batched (B, C_in, H, W); `kernels` is
     (C_out, C_in, k, k). Output spatial size is
     floor((H + 2*padding - k) / stride) + 1. Each output element accumulates
-    its k*k*C_in products in ascending (c_in, ky, kx) order.
+    its k*k*C_in products in ascending (c_in, ky, kx) order; the channel-major
+    sum (see `_conv_pairs`) is transposed once into a C-contiguous result.
     """
     x = as_f64(inp)
     kernels = as_f64(kernels)
@@ -118,8 +120,8 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
         x = x[None]
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 3-D or 4-D, got {inp.shape}")
-    out = _accumulate(*_conv_pairs(x, kernels, stride, padding))
-    return out[0] if squeeze else out
+    out = _accumulate(*_conv_pairs(x, kernels, stride, padding)).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(out[0] if squeeze else out)
 
 
 def conv2d_input_grad(grad_out, kernels, stride: int, padding: int, input_hw) -> np.ndarray:

@@ -155,7 +155,8 @@ def test_scaled_mode_preserved(tmp_path):
 @pytest.mark.parametrize("form", ["trained", "folded"])
 def test_every_single_bit_flip_loads_or_raises_engine_error(tmp_path, form):
     # Corrupt headers, shapes, amplitudes, scales and thresholds must end in a
-    # ParseError, never in another error; a network that loads must chain.
+    # ParseError, never in another error; a network that loads must chain and
+    # its head must give num_classes outputs.
     net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2, affine=True)
     if form == "folded":
         net = fold_alpha(net)
@@ -175,6 +176,7 @@ def test_every_single_bit_flip_loads_or_raises_engine_error(tmp_path, form):
             continue
         assert isinstance(loaded, Network)
         loaded.layer_output_shapes()
+        assert loaded.num_classes == loaded.layers[-1].out_channels
 
 
 def test_zero_dim_weights_are_parse_error(tmp_path):
@@ -205,4 +207,14 @@ def test_broken_invariant_is_parse_error(tmp_path, field, value):
     path = tmp_path / "b.rvrb"
     save_checkpoint(net, path)
     with pytest.raises(ParseError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("num_classes", [1, 7])
+def test_num_classes_other_than_head_outputs_is_parse_error(tmp_path, num_classes):
+    net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2)
+    net.num_classes = num_classes
+    path = tmp_path / "n.rvrb"
+    save_checkpoint(net, path)
+    with pytest.raises(ParseError, match="num_classes"):
         load_checkpoint(path)

@@ -88,6 +88,18 @@ class TestTrain:
         assert main(["train", "--config", str(bad),
                      "--out", str(tmp_path / "x.rvrb")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "2"), ("tau", "-0.25"), ("tau", "nan"), ("v_th", "nan"), ("v_th", "inf"),
+        ("lr0", "-1"), ("lr0", "inf"), ("momentum", "1"), ("momentum", "-0.1"),
+        ("momentum", "nan"), ("timesteps", "0"), ("batch", "0"), ("epochs", "-1"),
+    ])
+    def test_out_of_range_config_value_is_parse_error(self, tmp_path, key, value, capsys):
+        cfg = write_config(tmp_path / "run.cfg", **{key: value})
+        out = tmp_path / "x.rvrb"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_timesteps_is_parse_error(self, tmp_path, command, value, capsys):

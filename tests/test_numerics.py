@@ -1,7 +1,14 @@
-"""Dense kernels against brute-force loop oracles."""
+"""Dense kernels against brute-force loop oracles.
+
+The oracles add their products one at a time into +0.0, in ascending k for
+matmul and ascending (c_in, ky, kx) for conv2d, which is the kernels'
+accumulation contract, so kernel and oracle must agree bitwise.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from reverb_snn.errors import DimensionError
 from reverb_snn.numerics import (conv2d, conv2d_input_grad, conv2d_kernel_grad,
@@ -55,7 +62,7 @@ class TestMatmul:
         rng = np.random.default_rng(3)
         a = rng.uniform(-1, 1, (3, 4))
         b = rng.uniform(-1, 1, (4, 2))
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
+        np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
 
     def test_oracle_agreement_random_shapes(self):
         rng = np.random.default_rng(11)
@@ -63,7 +70,15 @@ class TestMatmul:
             m, k, n = rng.integers(1, 9, 3)
             a = rng.uniform(-1, 1, (m, k))
             b = rng.uniform(-1, 1, (k, n))
-            np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
+            np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
+
+    @given(m=st.integers(1, 6), k=st.integers(1, 9), n=st.integers(1, 6),
+           density=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_oracle_bitwise_property(self, m, k, n, density, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, (m, k)) * (rng.random((m, k)) < density)
+        b = rng.uniform(-1, 1, (k, n))
+        np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -93,7 +108,7 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (2, 5, 5))
         w = rng.uniform(-1, 1, (3, 2, 3, 3))
-        np.testing.assert_allclose(conv2d(x, w, 1, 0), conv2d_oracle(x, w, 1, 0), atol=1e-12)
+        np.testing.assert_array_equal(conv2d(x, w, 1, 0), conv2d_oracle(x, w, 1, 0))
 
     def test_oracle_agreement_stride_padding_grid(self):
         rng = np.random.default_rng(7)
@@ -103,7 +118,23 @@ class TestConv2d:
                 w = rng.uniform(-1, 1, (3, 2, 3, 3))
                 got = conv2d(x, w, stride, padding)
                 want = conv2d_oracle(x, w, stride, padding)
-                np.testing.assert_allclose(got, want, atol=1e-12)
+                np.testing.assert_array_equal(got, want)
+
+    @given(batch=st.integers(1, 4), c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+           h=st.integers(1, 7), w=st.integers(1, 7), k=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           density=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_oracle_bitwise_property(self, batch, c_in, c_out, h, w, k, stride, padding,
+                                     density, seed):
+        # Density 0.0 makes the whole input silent, 0.4 a sparse one.
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (batch, c_in, h, w)) * (rng.random((batch, c_in, h, w)) < density)
+        kern = rng.uniform(-1, 1, (c_out, c_in, k, k))
+        got = conv2d(x, kern, stride, padding)
+        assert got.flags.c_contiguous
+        want = np.stack([conv2d_oracle(xi, kern, stride, padding) for xi in x])
+        np.testing.assert_array_equal(got, want)
 
     def test_output_shape_formula(self):
         rng = np.random.default_rng(9)
@@ -126,7 +157,9 @@ class TestConv2d:
         w = rng.uniform(-1, 1, (3, 2, 3, 3))
         batched = conv2d(x, w, 2, 1)
         for i in range(4):
-            np.testing.assert_array_equal(batched[i], conv2d(x[i], w, 2, 1))
+            single = conv2d(x[i], w, 2, 1)
+            assert single.flags.c_contiguous
+            np.testing.assert_array_equal(batched[i], single)
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(DimensionError):

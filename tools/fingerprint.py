@@ -14,12 +14,16 @@ Floats print with repr, which round-trips, so two commits whose runs are
 byte-identical print byte-identical output. PYTHONPATH picks the engine under
 test; the script calls only long-standing public API (train, fold_alpha,
 save_checkpoint, evaluate_dense, evaluate_event_driven), so one copy serves
-both sides. To compare a change with its parent, from the repository root:
+both sides.
 
-    git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
-    PYTHONPATH=/tmp/parent/src python3 tools/fingerprint.py --seed 3 > parent.json
-    PYTHONPATH=src python3 tools/fingerprint.py --seed 3 > change.json
-    cmp parent.json change.json
+To compare the working tree with another checkout DIR (say, the parent
+commit, exported with `git archive` or cloned), from the repository root:
+
+    python3 tools/fingerprint.py --seed 3 --against DIR
+
+This runs the fingerprint once with PYTHONPATH=DIR/src and once with this
+tree's src/, each in its own process, and exits 0 when the two outputs are
+byte-identical. Otherwise it names the first differing key and exits 1.
 """
 
 from __future__ import annotations
@@ -27,15 +31,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
-
-import reverb_snn as rs
 
 RECIPES = ("configs/rings-tiny.cfg", "configs/convnet-bars.cfg")
 
 
 def _digest(net, workdir: Path) -> str:
+    import reverb_snn as rs
     path = workdir / "net.rvrb"
     rs.save_checkpoint(net, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -47,6 +54,9 @@ def _eval(result) -> dict:
 
 
 def fingerprint(recipe: Path, seed: int, workdir: Path) -> dict:
+    # Imported here, so that --against needs no engine on the path itself.
+    import reverb_snn as rs
+
     cfg = rs.load_config(recipe)
     data = rs.load_dataset(cfg.dataset, seed=seed)
     net = rs.build_network(cfg.architecture, data.input_shape, data.num_classes,
@@ -68,11 +78,45 @@ def fingerprint(recipe: Path, seed: int, workdir: Path) -> dict:
     }
 
 
+def _run(src: Path, seed: int) -> str:
+    """This script's output with the engine under `src`, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, __file__, "--seed", str(seed)], env=env,
+                          check=True, stdout=subprocess.PIPE, text=True).stdout
+
+
+def _leaves(obj, path=""):
+    """(dotted key, value) of every leaf of a parsed fingerprint, in order."""
+    if isinstance(obj, list):
+        obj = dict(enumerate(obj))
+    if not isinstance(obj, dict):
+        yield path, obj
+        return
+    for key, value in obj.items():
+        yield from _leaves(value, f"{path}.{key}" if path else str(key))
+
+
+def _against(other: Path, root: Path, seed: int) -> int:
+    theirs, ours = _run(other / "src", seed), _run(root / "src", seed)
+    if theirs == ours:
+        print(f"fingerprints equal at seed {seed}")
+        return 0
+    pairs = zip_longest(_leaves(json.loads(theirs)), _leaves(json.loads(ours)),
+                        fillvalue=(None, None))
+    key = next((a[0] or b[0] for a, b in pairs if a != b), "<formatting>")
+    print(f"fingerprints differ at seed {seed}: first differing key {key}")
+    return 1
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=3)
+    p.add_argument("--against", type=Path, metavar="DIR",
+                   help="compare with the engine under DIR/src; exit 1 on any difference")
     args = p.parse_args(argv)
     root = Path(__file__).resolve().parent.parent
+    if args.against is not None:
+        return _against(args.against.resolve(), root, args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         out = {recipe: fingerprint(root / recipe, args.seed, Path(tmp)) for recipe in RECIPES}
     print(json.dumps({"seed": args.seed, "recipes": out}, indent=1, sort_keys=True))
