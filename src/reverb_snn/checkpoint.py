@@ -8,7 +8,7 @@ Layout (all multi-byte integers little-endian, reals 64-bit IEEE-754):
     mode            u8   0 = vanilla, 1 = reverb, 2 = reverb-learnable
     timesteps       u32
     tau             f64
-    v_th            f64  base threshold (folded layers derive theirs from it)
+    v_th            f64  base threshold (folded layers gate at v_th / scale)
     input ndim      u8, then u32 per axis
     num_classes     u32
     layer count     u32
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionError, ParseError, StateError
 from .layers import CONV, DENSE, BinaryLayer
 from .network import MODES, Network
-from .neuron import FireMode, NeuronParams, _folded_threshold
+from .neuron import FireMode, NeuronParams
 
 MAGIC = b"RVRB"
 VERSION = 1
@@ -47,24 +47,11 @@ _KINDS = (DENSE, CONV)
 _FIRE_MODES = (FireMode.BINARY, FireMode.REAL, FireMode.SCALED_REAL)
 
 
-def _net_base_params(net: Network) -> tuple[float, float]:
-    """Network-wide tau and base (pre-fold) scalar threshold."""
-    tau = net.neurons[0].tau
-    v_th = 0.0
-    for nrn in net.neurons:
-        if nrn.tau != tau:
-            raise StateError("checkpoint format requires a network-wide tau")
-        if nrn.mode is not FireMode.SCALED_REAL:
-            v = nrn.v_th
-            if isinstance(v, np.ndarray):
-                raise StateError("unfolded layers must carry a scalar threshold")
-            v_th = float(v)
-    return tau, v_th
-
-
 def save_checkpoint(net: Network, path) -> None:
     buf = bytearray()
-    tau, v_th = _net_base_params(net)
+    tau, v_th = net.neurons[0].tau, net.neurons[0].v_th
+    if any((nrn.tau, nrn.v_th) != (tau, v_th) for nrn in net.neurons):
+        raise StateError("checkpoint format requires a network-wide tau and v_th")
     buf += struct.pack("<4sIBBIdd", MAGIC, VERSION, int(net.inference_form),
                        MODES.index(net.mode), net.timesteps, tau, v_th)
     buf += struct.pack("<B", len(net.input_shape))
@@ -173,12 +160,8 @@ def _decode(r: _Reader) -> Network:
             layer.affine_gamma = r.f64(out_channels)
             layer.affine_beta = r.f64(out_channels)
         fire_mode = _FIRE_MODES[fire_id]
-        if fire_mode is FireMode.SCALED_REAL:
-            scale = r.f64(out_channels)
-            neurons.append(NeuronParams(tau=tau, v_th=_folded_threshold(v_th, scale),
-                                        mode=fire_mode, scale=scale))
-        else:
-            neurons.append(NeuronParams(tau=tau, v_th=v_th, mode=fire_mode))
+        scale = r.f64(out_channels) if fire_mode is FireMode.SCALED_REAL else None
+        neurons.append(NeuronParams(tau=tau, v_th=v_th, mode=fire_mode, scale=scale))
         layers.append(layer)
     if r.pos != len(r.data):
         raise ParseError(f"{len(r.data) - r.pos} trailing bytes", offset=r.pos)

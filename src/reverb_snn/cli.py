@@ -146,6 +146,12 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -163,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True, help="checkpoint output path")
     t.add_argument("--metrics", default=None, help="metrics file (default: <out>.metrics)")
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_non_negative_int, default=None)
     t.add_argument("--mode", choices=("vanilla", "reverb", "reverb-learnable"), default=None)
     t.add_argument("--timesteps", type=_positive_int, default=None)
     t.set_defaults(func=cmd_train)
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--checkpoint", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--probes", type=_positive_int, default=32)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_non_negative_int, default=0)
     r.set_defaults(func=cmd_reparam)
 
     for name, fn, hlp in (("eval", cmd_eval, "accuracy + energy report"),
@@ -180,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
         e = sub.add_parser(name, help=hlp)
         e.add_argument("--checkpoint", required=True)
         e.add_argument("--dataset", required=True)
-        e.add_argument("--seed", type=int, default=0)
+        e.add_argument("--seed", type=_non_negative_int, default=0)
         e.add_argument("--timesteps", type=_positive_int, default=None,
                        help="run the loaded network for this many timesteps")
         e.set_defaults(func=fn)
 
     g = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     g.add_argument("--config", default=None)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=_non_negative_int, default=None)
     g.set_defaults(func=cmd_gradcheck)
     return p
 

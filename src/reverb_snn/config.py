@@ -47,7 +47,7 @@ class RunConfig:
                  ("lr0", 0.0 <= self.lr0 < math.inf, "finite and >= 0"),
                  ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
                  ("timesteps", self.timesteps >= 1, ">= 1"), ("batch", self.batch >= 1, ">= 1"),
-                 ("epochs", self.epochs >= 0, ">= 0"))
+                 ("epochs", self.epochs >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"))
         for name, ok, rule in rules:
             if not ok:
                 raise ParseError(f"{name} must be {rule}, got {getattr(self, name)!r}")

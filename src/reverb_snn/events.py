@@ -227,7 +227,7 @@ def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None
         )
     last = len(net.layers) - 1
 
-    def current(t, l, x):
+    def current(l, x):
         layer = net.layers[l]
         if 0 < l < last and layer.binarize:
             events = events_from_spikes(x[0])

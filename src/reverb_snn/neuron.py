@@ -1,23 +1,24 @@
 """Leaky integrate-and-fire dynamics with three firing rules.
 
-The membrane potential of layer l evolves as
+The membrane potential of layer l, a plain array, evolves as
 
     u_new = tau * u_old + current
 
 where `u_old` already has the previous step's reset applied: any neuron that
-fired is sitting at the resting potential 0. Firing compares inclusively
-(u >= v_th) and comes in three flavours:
+fired is sitting at the resting potential 0. Firing gates inclusively
+(u >= threshold) and hard-resets fired entries to 0. The three rules differ
+only in the value a fired neuron emits:
 
-* binary       -- emit 1, the classic spike;
-* real         -- emit the membrane potential itself;
-* scaled real  -- emit a per-channel multiple of the membrane potential
-                  (the inference form produced by amplitude folding).
+* binary       -- 1, the classic spike;
+* real         -- the membrane potential u itself;
+* scaled real  -- scale * u with a per-channel scale (the inference form
+                  produced by amplitude folding), gated at v_th / scale.
 
-All three hard-reset fired entries to 0. Backward rules: the real-valued
-spike is differentiable away from the gate, so its gradient is the fired
-indicator (the boundary Dirac term is dropped); the scaled rule multiplies
-that by the channel scale; the binary spike is non-differentiable and uses a
-rectangular surrogate window of width 1 around the threshold.
+Backward rules: the real-valued spike is differentiable away from the gate,
+so its gradient is the fired indicator (the boundary Dirac term is dropped);
+the scaled rule multiplies that by the channel scale; the binary spike is
+non-differentiable and uses a rectangular surrogate window of width 1 around
+the threshold.
 """
 
 from __future__ import annotations
@@ -41,20 +42,22 @@ class FireMode(enum.Enum):
 class NeuronParams:
     """Per-layer neuron configuration.
 
-    `v_th` is a scalar for ordinary layers; after amplitude folding it may be
-    a per-channel vector (v_th / scale) so gate decisions match the unfolded
-    network exactly. `scale` is the per-channel firing amplitude and is only
-    consulted in SCALED_REAL mode.
+    `v_th` is the layer's scalar base threshold. `scale` is the per-channel
+    firing amplitude and is only consulted in SCALED_REAL mode, where the
+    gate is derived from both as v_th / scale: a layer whose amplitude was
+    folded out of its membrane then decides exactly as the unfolded layer.
     """
 
     tau: float = 0.25
-    v_th: float | np.ndarray = 0.0
+    v_th: float = 0.0
     mode: FireMode = FireMode.REAL
     scale: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        if np.ndim(self.v_th) != 0:
+            raise ValueError(f"v_th must be a scalar, got shape {np.shape(self.v_th)}")
         if self.mode is FireMode.SCALED_REAL:
             if self.scale is None:
                 raise ValueError("SCALED_REAL mode requires a scale vector")
@@ -63,29 +66,10 @@ class NeuronParams:
                 raise ValueError("firing scale entries must be strictly positive")
 
 
-@dataclass
-class LifState:
-    """Membrane potentials of one layer plus the current timestep index."""
-
-    u: np.ndarray
-    t: int = 0
-
-    @staticmethod
-    def zeros(shape) -> "LifState":
-        return LifState(u=np.zeros(shape, dtype=np.float64), t=0)
-
-
-def channel_axis(u: np.ndarray) -> int:
-    """Axis indexing channels: first for unbatched arrays, second for batched.
-
-    Vectors (n,) and unbatched conv maps (C, H, W) put channels first;
-    batched (B, n) and (B, C, H, W) put them second.
-    """
-    return 0 if u.ndim in (1, 3) else 1
-
-
 def _per_channel(vec: np.ndarray, u: np.ndarray) -> np.ndarray:
-    axis = channel_axis(u)
+    # Vectors (n,) and unbatched conv maps (C, H, W) put channels first;
+    # batched (B, n) and (B, C, H, W) put them second.
+    axis = 0 if u.ndim in (1, 3) else 1
     if vec.shape[0] != u.shape[axis]:
         raise DimensionError(
             f"per-channel vector of length {vec.shape[0]} does not match "
@@ -96,53 +80,42 @@ def _per_channel(vec: np.ndarray, u: np.ndarray) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def _folded_threshold(v_th, scale: np.ndarray):
-    """Per-channel gate of a layer whose amplitude `scale` was folded out of
-    its membrane: v_th / scale. A zero threshold stays zero."""
-    v = np.atleast_1d(v_th)
-    return as_f64(v) / scale if np.any(v != 0) else v_th
-
-
 def threshold_for(u: np.ndarray, params: NeuronParams):
-    v = params.v_th
-    if isinstance(v, np.ndarray) and v.ndim == 1:
-        return _per_channel(v, u)
-    return v
+    """The gate of u: v_th, or v_th / scale per channel in SCALED_REAL mode."""
+    if params.mode is FireMode.SCALED_REAL:
+        return _per_channel(params.v_th / params.scale, u)
+    return params.v_th
 
 
-def membrane_update(state: LifState, current: np.ndarray, params: NeuronParams) -> LifState:
-    """Integrate one timestep: u <- tau * u + current (reset already applied)."""
+def membrane_update(u: np.ndarray, current: np.ndarray, params: NeuronParams) -> np.ndarray:
+    """Integrate one timestep: tau * u + current (reset already applied)."""
     current = as_f64(current)
-    if current.shape != state.u.shape:
+    if current.shape != u.shape:
         raise DimensionError(
-            f"current shape {current.shape} does not match state {state.u.shape}"
+            f"current shape {current.shape} does not match membrane {u.shape}"
         )
-    return LifState(u=params.tau * state.u + current, t=state.t + 1)
+    return params.tau * u + current
 
 
-def fire_binary(state: LifState, params: NeuronParams):
-    if params.mode is not FireMode.BINARY:
-        raise ModeError(f"fire_binary called in mode {params.mode}")
-    fired = state.u >= threshold_for(state.u, params)
-    spikes = fired.astype(np.float64)
-    return spikes, LifState(u=np.where(fired, 0.0, state.u), t=state.t)
+def _gate_and_reset(u: np.ndarray, params: NeuronParams, mode: FireMode, emit):
+    """(spikes, reset membrane): fired entries emit `emit(u)` and drop to 0."""
+    if params.mode is not mode:
+        raise ModeError(f"{mode.value} firing rule called in mode {params.mode}")
+    fired = u >= threshold_for(u, params)
+    return np.where(fired, emit(u), 0.0), np.where(fired, 0.0, u)
 
 
-def fire_real(state: LifState, params: NeuronParams):
-    if params.mode is not FireMode.REAL:
-        raise ModeError(f"fire_real called in mode {params.mode}")
-    fired = state.u >= threshold_for(state.u, params)
-    spikes = np.where(fired, state.u, 0.0)
-    return spikes, LifState(u=np.where(fired, 0.0, state.u), t=state.t)
+def fire_binary(u: np.ndarray, params: NeuronParams):
+    return _gate_and_reset(u, params, FireMode.BINARY, lambda u: 1.0)
 
 
-def fire_real_scaled(state: LifState, params: NeuronParams):
-    if params.mode is not FireMode.SCALED_REAL:
-        raise ModeError(f"fire_real_scaled called in mode {params.mode}")
-    scale = _per_channel(params.scale, state.u)
-    fired = state.u >= threshold_for(state.u, params)
-    spikes = np.where(fired, scale * state.u, 0.0)
-    return spikes, LifState(u=np.where(fired, 0.0, state.u), t=state.t)
+def fire_real(u: np.ndarray, params: NeuronParams):
+    return _gate_and_reset(u, params, FireMode.REAL, lambda u: u)
+
+
+def fire_real_scaled(u: np.ndarray, params: NeuronParams):
+    return _gate_and_reset(u, params, FireMode.SCALED_REAL,
+                           lambda u: _per_channel(params.scale, u) * u)
 
 
 _FIRE = {
@@ -152,9 +125,9 @@ _FIRE = {
 }
 
 
-def fire(state: LifState, params: NeuronParams):
+def fire(u: np.ndarray, params: NeuronParams):
     """Dispatch to the firing rule selected by params.mode."""
-    return _FIRE[params.mode](state, params)
+    return _FIRE[params.mode](u, params)
 
 
 def fire_backward(u: np.ndarray, params: NeuronParams) -> np.ndarray:

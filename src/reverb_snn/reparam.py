@@ -21,13 +21,14 @@ firing keeps the transformation exact for every threshold.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 
 from .errors import DimensionError
 from .layers import binarize_weights
 from .network import Network
-from .neuron import FireMode, NeuronParams, _folded_threshold
+from .neuron import FireMode
 from .numerics import as_f64
 from .training import aggregate_output, forward_pass
 
@@ -36,7 +37,7 @@ def fold_alpha(net: Network) -> Network:
     """Return the inference-form network with pure {-1,+1} binarized weights.
 
     Binarized layers with a non-unit amplitude move it into their firing
-    scale (mode becomes scaled real) and divide their threshold by it per
+    scale (mode becomes scaled real), whose gate is then v_th / scale per
     channel. Layers already at alpha == 1 are left untouched, so refolding a
     folded network is a no-op.
     """
@@ -53,13 +54,8 @@ def fold_alpha(net: Network) -> Network:
             # Membrane rescaling u -> u/alpha divides the additive shift too;
             # the multiplicative gamma commutes and stays put.
             layer.affine_beta = layer.affine_beta / scale
-        nrn = folded.neurons[l]
-        folded.neurons[l] = NeuronParams(
-            tau=nrn.tau,
-            v_th=_folded_threshold(nrn.v_th, scale),
-            mode=FireMode.SCALED_REAL,
-            scale=scale,
-        )
+        folded.neurons[l] = dataclasses.replace(folded.neurons[l], mode=FireMode.SCALED_REAL,
+                                                scale=scale)
     folded.inference_form = True
     return folded
 

@@ -23,8 +23,7 @@ import numpy as np
 from . import layers as L
 from .errors import DimensionError, StateError, TrainingError
 from .network import Network
-from .neuron import (LifState, _per_channel, fire, fire_backward, membrane_update,
-                     threshold_for)
+from .neuron import _per_channel, fire, fire_backward, membrane_update, threshold_for
 from .numerics import as_f64, conv2d_input_grad, conv2d_kernel_grad
 
 
@@ -48,7 +47,6 @@ class ForwardCache:
     """Per-timestep, per-layer activations retained for the backward pass."""
 
     net_ref: Network
-    timesteps: int
     surrogate: bool
     inputs: list          # [t][l] layer input exactly as fed (flattened for dense)
     u_pre: list           # [t][l] membrane after integration, before fire/reset
@@ -65,15 +63,15 @@ def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False
     """The LIF loop shared by the dense and event paths.
 
     For each of the network's `timesteps` (the only source of T) and each
-    layer, `current_fn(t, l, x)` gives the synaptic current of layer l from
+    layer, `current_fn(l, x)` gives the synaptic current of layer l from
     its batched input x; the loop applies the optional per-channel affine,
     integrates, and fires every layer but the non-firing head. Returns the
     per-timestep outputs and the ForwardCache.
     """
-    states: list[LifState | None] = [None] * len(net.layers)
-    cache = ForwardCache(net, net.timesteps, surrogate, [], [], [])
+    membranes: list[np.ndarray | None] = [None] * len(net.layers)
+    cache = ForwardCache(net, surrogate, [], [], [])
     outputs = []
-    for t in range(net.timesteps):
+    for _ in range(net.timesteps):
         x = batch
         cache.inputs.append([])
         cache.u_pre.append([])
@@ -81,20 +79,20 @@ def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False
         for l, (layer, nrn) in enumerate(zip(net.layers, net.neurons)):
             x = _feed_shape(layer, x)
             cache.inputs[-1].append(x)
-            current = current_fn(t, l, x)
+            current = current_fn(l, x)
             if layer.has_affine:
                 cache.raw_current[-1].append(current)
                 current = _per_channel(layer.affine_gamma, current) * current \
                     + _per_channel(layer.affine_beta, current)
             else:
                 cache.raw_current[-1].append(None)
-            state = states[l] if states[l] is not None else LifState.zeros(current.shape)
-            state = membrane_update(state, current, nrn)
-            cache.u_pre[-1].append(state.u)
+            u = membranes[l] if membranes[l] is not None else np.zeros(current.shape)
+            u = membrane_update(u, current, nrn)
+            cache.u_pre[-1].append(u)
             if l == len(net.layers) - 1:
-                x, states[l] = state.u, state
+                x = membranes[l] = u
             else:
-                x, states[l] = fire(state, nrn)
+                x, membranes[l] = fire(u, nrn)
         outputs.append(x)
     return outputs, cache
 
@@ -118,7 +116,7 @@ def forward_pass(net: Network, batch: np.ndarray, *, surrogate: bool = False):
             f"batch samples of shape {batch.shape[1:]} do not match "
             f"network input {net.input_shape}"
         )
-    return _unroll(net, batch, lambda t, l, x: L.forward(net.layers[l], x, surrogate),
+    return _unroll(net, batch, lambda l, x: L.forward(net.layers[l], x, surrogate),
                    surrogate)
 
 
@@ -170,9 +168,9 @@ def backward_stbp(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> G
     """
     if cache.net_ref is not net:
         raise StateError("cache was produced by a different network")
-    if len(cache.u_pre) != cache.timesteps:
-        raise StateError("cache is incomplete or stale")
-    T = cache.timesteps
+    T = net.timesteps
+    if len(cache.u_pre) != T:
+        raise StateError(f"cache holds {len(cache.u_pre)} timesteps, the network runs {T}")
     nl = len(net.layers)
     surrogate = cache.surrogate
 

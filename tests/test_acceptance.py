@@ -13,7 +13,7 @@ from reverb_snn.events import (OpCounter, addition_only_forward,
 from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, MODE_VANILLA,
                                 build_convnet, build_gradcheck_net, build_mlp)
-from reverb_snn.neuron import FireMode, LifState, NeuronParams, fire_real
+from reverb_snn.neuron import FireMode, NeuronParams, fire_real
 from reverb_snn.numerics import conv2d, matmul
 from reverb_snn.reparam import fold_alpha, verify_equivalence
 from reverb_snn.training import (TrainConfig, aggregate_output, cosine_lr,
@@ -157,16 +157,16 @@ def test_criterion_6_firing_reset_invariant_suite():
     checks = {}
 
     real = NeuronParams(v_th=0.5, mode=FireMode.REAL)
-    spikes, state = fire_real(LifState(np.array([0.5])), real)
+    spikes, state = fire_real(np.array([0.5]), real)
     checks["threshold inclusive"] = spikes[0] == 0.5
 
-    checks["hard reset to zero"] = state.u[0] == 0.0
+    checks["hard reset to zero"] = state[0] == 0.0
     spikes2, _ = fire_real(state, real)
     checks["no respike after reset"] = spikes2[0] == 0.0
 
     rng = np.random.default_rng(0)
     sub = rng.uniform(-1, -1e-9, 64)
-    silent, _ = fire_real(LifState(sub), NeuronParams(v_th=0.0, mode=FireMode.REAL))
+    silent, _ = fire_real(sub, NeuronParams(v_th=0.0, mode=FireMode.REAL))
     w = rng.uniform(-1, 1, (8, 64))
     checks["event-driven zero contribution"] = np.array_equal(w @ silent, np.zeros(8))
 

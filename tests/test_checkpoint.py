@@ -137,6 +137,15 @@ def test_mixed_tau_rejected(tmp_path):
         save_checkpoint(net, tmp_path / "x.rvrb")
 
 
+def test_per_layer_threshold_rejected(tmp_path):
+    # One stored v_th would silently reload every layer at the same threshold.
+    from reverb_snn.errors import StateError
+    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, hidden=6)
+    net.neurons[1].v_th = 0.5
+    with pytest.raises(StateError):
+        save_checkpoint(net, tmp_path / "x.rvrb")
+
+
 def test_scaled_mode_preserved(tmp_path):
     rng = np.random.default_rng(6)
     net = build_mlp((6,), 2, MODE_LEARNABLE, timesteps=2, v_th=0.25, seed=6, hidden=8)

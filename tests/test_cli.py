@@ -92,6 +92,7 @@ class TestTrain:
         ("tau", "2"), ("tau", "-0.25"), ("tau", "nan"), ("v_th", "nan"), ("v_th", "inf"),
         ("lr0", "-1"), ("lr0", "inf"), ("momentum", "1"), ("momentum", "-0.1"),
         ("momentum", "nan"), ("timesteps", "0"), ("batch", "0"), ("epochs", "-1"),
+        ("seed", "-1"),
     ])
     def test_out_of_range_config_value_is_parse_error(self, tmp_path, key, value, capsys):
         cfg = write_config(tmp_path / "run.cfg", **{key: value})
@@ -113,6 +114,21 @@ class TestTrain:
             main(args + ["--timesteps", value])
         assert exc.value.code == 2
         assert "--timesteps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "reparam", "eval", "energy", "gradcheck"])
+def test_negative_seed_is_parse_error(tmp_path, command, capsys):
+    # Rejected while parsing, before any config or checkpoint is read.
+    ckpt = ["--checkpoint", str(tmp_path / "none.rvrb")]
+    args = {"train": ["--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "t.rvrb")],
+            "reparam": ckpt + ["--out", str(tmp_path / "f.rvrb")],
+            "eval": ckpt + ["--dataset", "two-gaussians"],
+            "energy": ckpt + ["--dataset", "two-gaussians"],
+            "gradcheck": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestReparam:

@@ -81,7 +81,7 @@ def test_load_config_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "tau = 0", "tau = 1", "momentum = 0", "lr0 = 0", "epochs = 0", "v_th = -0.5",
-    "timesteps = 1", "batch = 1",
+    "timesteps = 1", "batch = 1", "seed = 0",
 ])
 def test_boundary_values_accepted(text):
     parse_config_text(text)

@@ -186,6 +186,15 @@ class TestBackwardStbp:
         with pytest.raises(StateError):
             backward_stbp(other, cache, np.zeros((2, 3)))
 
+    def test_timesteps_changed_after_forward_rejected(self):
+        # T has one source, the network: a cache of 2 steps cannot be
+        # backpropagated through a network that now runs 3.
+        net = self._toy_net(tau=0.25, T=2)
+        _, cache = forward_pass(net, np.random.default_rng(8).uniform(0, 1, (2, 5)))
+        net.timesteps = 3
+        with pytest.raises(StateError):
+            backward_stbp(net, cache, np.zeros((2, 3)))
+
     def test_full_gradient_oracle_two_layer(self):
         # Acceptance-grade check at module level: analytic vs central
         # differences on the clipped-identity surrogate forward.

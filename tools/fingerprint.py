@@ -1,8 +1,9 @@
 """Same-seed fingerprint of the train -> fold -> infer cycle.
 
 Trains both shipped recipes (configs/rings-tiny.cfg, configs/convnet-bars.cfg)
-at one seed, as `reverb-snn train --seed N` does, folds them, and prints one
-JSON object per run with, for each recipe:
+under each of the three modes at one seed, as `reverb-snn train --seed N
+--mode M` does, folds them, and prints one JSON object per run with, for each
+recipe and mode:
 
 * the sha256 of the trained and of the folded checkpoint;
 * the epoch losses as float.hex();
@@ -39,6 +40,9 @@ from itertools import zip_longest
 from pathlib import Path
 
 RECIPES = ("configs/rings-tiny.cfg", "configs/convnet-bars.cfg")
+# Every mode, so that binary firing, the surrogate window and unit-amplitude
+# binarized layers are covered too: both recipes are reverb-learnable.
+MODES = ("vanilla", "reverb", "reverb-learnable")
 
 
 def _digest(net, workdir: Path) -> str:
@@ -53,11 +57,12 @@ def _eval(result) -> dict:
     return {"accuracy": acc, "energy": report.as_dict()}
 
 
-def fingerprint(recipe: Path, seed: int, workdir: Path) -> dict:
+def fingerprint(recipe: Path, mode: str, seed: int, workdir: Path) -> dict:
     # Imported here, so that --against needs no engine on the path itself.
     import reverb_snn as rs
 
     cfg = rs.load_config(recipe)
+    cfg.mode = mode
     data = rs.load_dataset(cfg.dataset, seed=seed)
     net = rs.build_network(cfg.architecture, data.input_shape, data.num_classes,
                            cfg.mode, cfg.timesteps, cfg.tau, cfg.v_th,
@@ -118,7 +123,9 @@ def main(argv=None) -> int:
     if args.against is not None:
         return _against(args.against.resolve(), root, args.seed)
     with tempfile.TemporaryDirectory() as tmp:
-        out = {recipe: fingerprint(root / recipe, args.seed, Path(tmp)) for recipe in RECIPES}
+        out = {recipe: {mode: fingerprint(root / recipe, mode, args.seed, Path(tmp))
+                        for mode in MODES}
+               for recipe in RECIPES}
     print(json.dumps({"seed": args.seed, "recipes": out}, indent=1, sort_keys=True))
     return 0
 
