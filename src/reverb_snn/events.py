@@ -5,10 +5,12 @@ A firing layer's nonzero spikes become an EventList; a folded binarized layer
 consumes events by pure accumulation: weight +1 adds the spike value, weight
 -1 subtracts it. The kernel is the dense kernels' fixed-order reduction
 (`numerics._accumulate`) with a sign-select term in place of the multiply:
-a dense layer adds one term per event, a conv layer scatters its events into
-a zero map and sweeps the kernel taps over it, as `conv2d` does. Inference
-(`event_forward`) runs the same LIF loop as the dense forward pass, so the
-two paths agree bitwise by construction.
+a dense layer has one term per event, a conv layer scatters its events into
+a zero map and has one term per kernel tap, as `conv2d` does. The reduction
+selects a block of terms with one call and adds them one by one in event or
+tap order; one sample's output is small, so a block usually holds every term
+of the layer. Inference (`event_forward`) runs the same LIF loop as the
+dense forward pass, so the two paths agree bitwise by construction.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import DimensionError, ModeError, StateError
 from .layers import CONV, DENSE, BinaryLayer
 from .network import Network
-from .numerics import _accumulate, _conv_pairs, as_f64, conv2d, matmul
+from .numerics import _accumulate, _conv_terms, as_f64, conv2d, matmul
 from .training import _unroll, aggregate_output, forward_pass
 
 FLOP_JOULES = 12.5e-12
@@ -101,16 +103,22 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
     if layer.kind == DENSE:
         if counter is not None:
             counter.accumulations += w.shape[0] * len(events)
-        return _accumulate(w.shape[:1], zip(events.values, w.T[idx]), signed=True)
+        values, rows = events.values[:, None], w.T
+        return _accumulate(w.shape[:1], len(events),
+                           lambda lo, hi: (values[lo:hi], rows[idx[lo:hi]]), signed=True)
 
     spikes = np.zeros((1,) + tuple(input_shape), dtype=np.float64)
     spikes.flat[idx] = events.values
-    shape, pairs = _conv_pairs(spikes, w, layer.stride, layer.padding)
-    pairs = list(pairs)
-    if counter is not None:
-        # Each nonzero in a tap's patch is one (event, ky, kx) landing on an output.
-        counter.accumulations += shape[0] * int(sum(np.count_nonzero(p) for p, _ in pairs))
-    return _accumulate(shape, pairs, signed=True)[:, 0]
+    shape, count, patches = _conv_terms(spikes, w, layer.stride, layer.padding)
+
+    def block(lo, hi):
+        x, columns = patches(lo, hi)
+        if counter is not None:
+            # Each nonzero entry of a tap's patch is one (event, ky, kx) landing on an output.
+            counter.accumulations += shape[0] * int(np.count_nonzero(x))
+        return x, columns
+
+    return _accumulate(shape, count, block, signed=True)[:, 0]
 
 
 @dataclass
@@ -248,17 +256,21 @@ def _evaluate(net: Network, x, y, batch_size: int, logits, sops):
     `meter`; `sops(sparsity)` gives the SOPs per sample."""
     x = as_f64(x)
     y = np.asarray(y)
+    if not len(x):
+        raise StateError("no samples to evaluate")
     meter = SparsityMeter()
     correct = 0
     for start in range(0, len(x), batch_size):
         o = logits(x[start : start + batch_size], meter)
         correct += int((o.argmax(axis=1) == y[start : start + batch_size]).sum())
-    sparsity = meter.mean(layer_additions(net))
+    # A network with no middle layer records nothing: it has no SOP layer.
+    additions = layer_additions(net)
+    sparsity = meter.mean(additions) if additions else 0.0
     report = estimate_energy(
         flops=count_flops(net),
         sops=sops(sparsity),
         sparsity=sparsity,
-        sparsity_per_layer=meter.per_layer(),
+        sparsity_per_layer=meter.per_layer() if additions else {},
         timesteps=net.timesteps,
     )
     return correct / len(x), report

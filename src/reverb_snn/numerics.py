@@ -3,41 +3,71 @@
 Everything is float64 and row-major. `matmul` and `conv2d` reduce through
 `_accumulate`, the one fixed-order reduction of the package; the event kernel
 in `events.py` runs the same reduction with a sign-select term, so its
-results can be checked for bitwise equality against these kernels. The conv
-reduction runs channel-major, which changes no output's term order and no bit.
+results can be checked for bitwise equality against these kernels. It builds
+each block of consecutive terms with one call and adds them one by one, so a
+small output (one sample, a classifier head) costs few calls per term and
+every bit is that of a term-by-term loop. Both kernels put the batch on the
+terms' inner axis ((n, m) for matmul, (C_out, B, H_out, W_out) for the conv)
+and transpose the sum once, which changes no output's term order.
 
 The backward helpers (`*_grad`) have no ordering contract; they only need to
 be deterministic, which numpy's einsum (optimize left off) guarantees.
-`_tap` is the one place that maps a kernel offset to the input positions it
-meets, for the forward and both gradients.
+`_tap` maps a kernel offset to the input positions it meets for both
+gradients; the forward reads the same positions as rows of one strided view
+(`_conv_terms`).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError
+
+# Most elements one block of terms holds (512 KiB of float64), though a block
+# always holds at least one whole term. A block is transient memory on top of
+# the output; once a term has this many elements, its one call already costs
+# far more than the call overhead a bigger block would save, so large outputs
+# get one term per block.
+_BLOCK = 1 << 16
 
 
 def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _accumulate(shape, pairs, signed: bool = False) -> np.ndarray:
-    """Add one term per (x, w) pair into a zeroed `shape` array, strictly in
-    the order `pairs` yields them.
+def _accumulate(shape, count: int, block, signed: bool = False) -> np.ndarray:
+    """Add `count` terms into a zeroed `shape` array, one at a time in
+    ascending term order.
 
     This order is the accumulation contract: ascending k for matmul,
     ascending (c_in, ky, kx) for conv2d, and the same order over an event
-    list, so repeated runs and the event kernel agree bitwise. The term is
-    x * w for real weights; with `signed`, w holds folded {-1, +1} weights and
-    the term is the sign select +x / -x, with no multiply. Adding an exact
-    zero term changes nothing in IEEE-754, so skipping silent inputs keeps
-    the result bitwise equal.
+    list, so repeated runs and the event kernel agree bitwise. `block(lo, hi)`
+    returns operands (x, w) whose leading axis holds terms lo..hi-1 and which
+    broadcast to (hi - lo,) + shape. Each block of terms is built with one
+    call and its terms are then added one by one, so every output element
+    sees the same sequence of roundings as a term-by-term loop. The term is
+    x * w for real weights; with `signed`, w holds folded {-1, +1} weights
+    and the term is the sign select +x / -x (the block negated, then +x
+    copied where w > 0), with no multiply. Adding an exact zero term changes
+    nothing in IEEE-754, so skipping silent inputs keeps the result bitwise
+    equal.
     """
     out = np.zeros(shape, dtype=np.float64)
-    for x, w in pairs:
-        out += np.where(w > 0, x, -x) if signed else x * w
+    step = max(1, _BLOCK // max(out.size, 1))
+    buf = np.empty((min(step, count),) + out.shape)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        x, w = block(lo, hi)
+        terms = buf[: hi - lo]
+        if signed:
+            np.negative(x, out=terms)
+            np.copyto(terms, x, where=w > 0)
+        else:
+            np.multiply(x, w, out=terms)
+        for term in terms:
+            out += term
     return out
 
 
@@ -49,7 +79,11 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return _accumulate((a.shape[0], b.shape[1]), zip(a.T[:, :, None], b))
+    # The (n, m) transpose puts the batch on the inner axis of every term.
+    a_t = np.ascontiguousarray(a.T)
+    out = _accumulate((b.shape[1], a.shape[0]), a.shape[1],
+                      lambda lo, hi: (a_t[lo:hi, None], b[lo:hi, :, None]))
+    return np.ascontiguousarray(out.T)
 
 
 def conv_output_size(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -89,19 +123,49 @@ def pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _conv_pairs(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
-    """Channel-major output shape (C_out, B, H_out, W_out) and (contiguous
-    (B, H_out, W_out) patch, weight column) pairs of the conv of the
-    (B, C_in, H, W) batch `x`, in ascending (c_in, ky, kx) order."""
+@functools.lru_cache(maxsize=64)
+def _tap_offsets(c_in: int, k: int, row: int, plane: int) -> np.ndarray:
+    """Flat offset c * plane + ky * row + kx of each (c, ky, kx) tap in a
+    C-contiguous padded sample, in ascending tap order."""
+    offsets = (np.arange(c_in)[:, None, None] * plane + np.arange(k)[:, None] * row
+               + np.arange(k)).ravel()
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _conv_terms(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
+    """Channel-major output shape (C_out, B, H_out, W_out), term count and
+    block function (see `_accumulate`) of the conv of the (B, C_in, H, W)
+    batch `x`, in ascending (c_in, ky, kx) order.
+
+    A term's patch is the (B, H_out, W_out) input positions its tap meets.
+    All of them are rows of one strided view of the padded batch, indexed by
+    the tap's flat offset c_in * Hp * Wp + ky * Wp + kx, so a block gathers
+    its taps' patches with one copy.
+    """
     batch, c_in, h, w = x.shape
     _check_conv_args(c_in, h, w, kernels, stride, padding)
     c_out, _, k, _ = kernels.shape
     out_hw = (conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding))
-    xp = pad_spatial(x, padding).transpose(1, 0, 2, 3)
+    xp = np.ascontiguousarray(pad_spatial(x, padding))
+    offsets = _tap_offsets(c_in, k, xp.shape[3], xp.shape[2] * xp.shape[3])
+    # Row o starts at element o of the batch's first sample; ndarray checks
+    # that the last tap's row ends inside the batch.
+    sb, _, sy, sx = xp.strides
+    windows = np.ndarray((offsets[-1] + 1, 1, batch) + out_hw, xp.dtype, xp, 0,
+                         (xp.itemsize, 0, sb, sy * stride, sx * stride))
     columns = kernels.transpose(1, 2, 3, 0).reshape(-1, c_out, 1, 1, 1)
-    patches = (np.ascontiguousarray(xp[c][_tap(ky, kx, stride, out_hw)])
-               for c in range(c_in) for ky in range(k) for kx in range(k))
-    return (c_out, batch) + out_hw, zip(patches, columns)
+
+    def block(lo, hi):
+        first, last = offsets[lo], offsets[hi - 1]
+        if last - first == hi - lo - 1:
+            # One tap, or taps of one kernel row, at consecutive offsets: a
+            # slice copy costs less than an index gather, and large outputs
+            # get one tap per block.
+            return np.ascontiguousarray(windows[first : last + 1]), columns[lo:hi]
+        return windows[offsets[lo:hi]], columns[lo:hi]
+
+    return (c_out, batch) + out_hw, len(offsets), block
 
 
 def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -111,7 +175,7 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
     (C_out, C_in, k, k). Output spatial size is
     floor((H + 2*padding - k) / stride) + 1. Each output element accumulates
     its k*k*C_in products in ascending (c_in, ky, kx) order; the channel-major
-    sum (see `_conv_pairs`) is transposed once into a C-contiguous result.
+    sum (see `_conv_terms`) is transposed once into a C-contiguous result.
     """
     x = as_f64(inp)
     kernels = as_f64(kernels)
@@ -120,7 +184,8 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
         x = x[None]
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 3-D or 4-D, got {inp.shape}")
-    out = _accumulate(*_conv_pairs(x, kernels, stride, padding)).transpose(1, 0, 2, 3)
+    shape, count, block = _conv_terms(x, kernels, stride, padding)
+    out = _accumulate(shape, count, block).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(out[0] if squeeze else out)
 
 

@@ -269,6 +269,22 @@ class TestEvalAndEnergy:
                 acc = [int(p.split("accumulations = ")[1].split()[0]) for p in printed]
                 assert acc[0] > 0 and acc[1] == 2 * acc[0]
 
+    @pytest.mark.parametrize("command", ["eval", "energy"])
+    def test_network_without_middle_layer(self, tmp_path, command, capsys):
+        from reverb_snn import build_mlp, fold_alpha, save_checkpoint
+
+        net = build_mlp((8,), 2, "reverb", 2, middle_layers=0)
+        save_checkpoint(net, tmp_path / "trained.rvrb")
+        save_checkpoint(fold_alpha(net), tmp_path / "folded.rvrb")
+        for name in ("trained.rvrb", "folded.rvrb"):
+            capsys.readouterr()
+            assert main([command, "--checkpoint", str(tmp_path / name),
+                         "--dataset", "rings"]) == 0
+            printed = capsys.readouterr().out
+            report = json.loads(printed.split("energy-report: ")[1])
+            assert report["sops"] == 0 and report["sparsity"] == 0.0
+            assert report["sparsity_per_layer"] == {}
+
     def test_dataset_shape_mismatch_exit_code(self, trained, capsys):
         _, out = trained
         assert main(["eval", "--checkpoint", str(out),

@@ -1,14 +1,18 @@
 """Event-driven kernel, sparsity accounting, and the energy model."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reverb_snn import numerics
+
 from reverb_snn.errors import DimensionError, ModeError, StateError
 from reverb_snn.events import (EventList, OpCounter, SparsityMeter,
                                addition_only_forward, count_flops, count_sops,
-                               estimate_energy, evaluate_event_driven,
+                               estimate_energy, evaluate_dense, evaluate_event_driven,
                                event_forward, events_from_spikes,
                                layer_additions)
 from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
@@ -188,6 +192,83 @@ class TestEventKernelProperties:
         assert counter.accumulations == c_out * landings
 
 
+def _dense_event_oracle(w, spikes):
+    """Sign-select loop: each event, in ascending input order, adds +v or -v
+    to every output; returns the currents and the number of terms added."""
+    out = np.zeros(w.shape[0])
+    terms = 0
+    for j in np.flatnonzero(spikes):
+        for o in range(w.shape[0]):
+            out[o] += spikes[j] if w[o, j] > 0 else -spikes[j]
+            terms += 1
+    return out, terms
+
+
+def _conv_event_oracle(w, spikes, stride, padding):
+    """Sign-select loop over every output and its (c_in, ky, kx) taps in
+    ascending order, adding only nonzero inputs; returns the currents and the
+    number of terms added."""
+    c_out, c_in, k, _ = w.shape
+    xp = np.pad(spikes, ((0, 0), (padding, padding), (padding, padding)))
+    h_out = (xp.shape[1] - k) // stride + 1
+    w_out = (xp.shape[2] - k) // stride + 1
+    out = np.zeros((c_out, h_out, w_out))
+    terms = 0
+    for co in range(c_out):
+        for oy in range(h_out):
+            for ox in range(w_out):
+                for ci in range(c_in):
+                    for ky in range(k):
+                        for kx in range(k):
+                            v = xp[ci, oy * stride + ky, ox * stride + kx]
+                            if v != 0.0:
+                                out[co, oy, ox] += v if w[co, ci, ky, kx] > 0 else -v
+                                terms += 1
+    return out, terms
+
+
+# One term per block, blocks of a few terms with a short last block, and the
+# shipped size (numerics._BLOCK elements).
+BLOCKS = (1, 2, 3, 7, numerics._BLOCK)
+
+
+class TestEventKernelBlocks:
+    """Both event branches against sign-select loop oracles under every block
+    size: the same bits and the same accumulation count."""
+
+    @given(block=st.sampled_from(BLOCKS), seed=st.integers(0, 2**32 - 1),
+           n_out=st.integers(1, 12), n_in=st.integers(1, 40), density=st.floats(0.0, 1.0))
+    def test_dense(self, block, seed, n_out, n_in, density):
+        rng = np.random.default_rng(seed)
+        layer = sign_dense(rng, n_out, n_in)
+        spikes = _sparse_spikes(rng, n_in, density)
+        counter = OpCounter()
+        with mock.patch.object(numerics, "_BLOCK", block):
+            out = addition_only_forward(layer, events_from_spikes(spikes), counter=counter)
+        want, terms = _dense_event_oracle(layer.w_latent, spikes)
+        assert out.tobytes() == want.tobytes()
+        assert counter.accumulations == terms
+
+    @given(block=st.sampled_from(BLOCKS), seed=st.integers(0, 2**32 - 1),
+           c_in=st.integers(1, 3), c_out=st.integers(1, 4), k=st.integers(1, 3),
+           h=st.integers(1, 8), w=st.integers(1, 8), stride=st.integers(1, 3),
+           padding=st.integers(0, 2), density=st.floats(0.0, 1.0))
+    def test_conv(self, block, seed, c_in, c_out, k, h, w, stride, padding, density):
+        h, w = max(h, k - 2 * padding), max(w, k - 2 * padding)
+        rng = np.random.default_rng(seed)
+        kernels = binarize_weights(rng.uniform(-1, 1, (c_out, c_in, k, k)))
+        layer = BinaryLayer(w_latent=kernels, alpha=np.ones(c_out), binarize=True,
+                            kind=CONV, stride=stride, padding=padding)
+        spikes = _sparse_spikes(rng, (c_in, h, w), density)
+        counter = OpCounter()
+        with mock.patch.object(numerics, "_BLOCK", block):
+            out = addition_only_forward(layer, events_from_spikes(spikes),
+                                        input_shape=spikes.shape, counter=counter)
+        want, terms = _conv_event_oracle(kernels, spikes, stride, padding)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert counter.accumulations == terms
+
+
 class TestSparsityMeter:
     def test_all_silent_gives_zero(self):
         m = SparsityMeter()
@@ -312,6 +393,30 @@ class TestEventForward:
         assert counter.weight_activation_mults == 0
         assert report.energy_joules == report.flops * 12.5e-12 + report.sops * 77e-15
         assert 0.0 <= report.sparsity <= 1.0
+
+    def test_network_without_middle_layer_evaluates(self):
+        # Encoder straight into the head: no SOP layer, so nothing to record.
+        rng = np.random.default_rng(10)
+        net = build_mlp((8,), 2, MODE_REVERB, timesteps=2, seed=10, middle_layers=0)
+        x = rng.uniform(0, 1, (12, 8))
+        y = rng.integers(0, 2, 12)
+        acc_dense, dense = evaluate_dense(net, x, y)
+        acc_event, event, counter = evaluate_event_driven(fold_alpha(net), x, y)
+        assert acc_dense == acc_event
+        assert counter.accumulations == 0
+        for report in (dense, event):
+            assert report.sops == 0 and report.sparsity == 0.0
+            assert report.sparsity_per_layer == {}
+            assert report.flops == count_flops(net) > 0
+
+    @pytest.mark.parametrize("middle_layers", [0, 1])
+    def test_empty_sample_set_is_state_error(self, middle_layers):
+        net = build_mlp((8,), 2, MODE_REVERB, timesteps=2, seed=0, middle_layers=middle_layers)
+        x, y = np.zeros((0, 8)), np.zeros(0, dtype=int)
+        with pytest.raises(StateError):
+            evaluate_dense(net, x, y)
+        with pytest.raises(StateError):
+            evaluate_event_driven(fold_alpha(net), x, y)
 
     def test_requires_inference_form(self):
         net = build_mlp((6,), 2, MODE_REVERB, timesteps=2, seed=0)

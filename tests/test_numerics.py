@@ -5,14 +5,24 @@ matmul and ascending (c_in, ky, kx) for conv2d, which is the kernels'
 accumulation contract, so kernel and oracle must agree bitwise.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from reverb_snn import numerics
 from reverb_snn.errors import DimensionError
+from reverb_snn.events import OpCounter, addition_only_forward, events_from_spikes
+from reverb_snn.layers import CONV, BinaryLayer, binarize_weights
 from reverb_snn.numerics import (conv2d, conv2d_input_grad, conv2d_kernel_grad,
                                  conv_output_size, matmul)
+
+# Block sizes (elements) the block properties run under: one term per block,
+# blocks of a few terms with a short last block, and the shipped size.
+BLOCKS = (1, 2, 3, 7, numerics._BLOCK)
 
 
 def matmul_oracle(a, b):
@@ -80,6 +90,18 @@ class TestMatmul:
         b = rng.uniform(-1, 1, (k, n))
         np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
 
+    @given(block=st.sampled_from(BLOCKS), m=st.integers(1, 6), k=st.integers(1, 9),
+           n=st.integers(1, 6), density=st.sampled_from([0.0, 0.4, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_size_leaves_bits_unchanged(self, block, m, k, n, density, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, (m, k)) * (rng.random((m, k)) < density)
+        b = rng.uniform(-1, 1, (k, n))
+        with mock.patch.object(numerics, "_BLOCK", block):
+            got = matmul(a, b)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == matmul_oracle(a, b).tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             matmul(np.zeros((2, 3)), np.zeros((4, 2)))
@@ -136,6 +158,21 @@ class TestConv2d:
         want = np.stack([conv2d_oracle(xi, kern, stride, padding) for xi in x])
         np.testing.assert_array_equal(got, want)
 
+    @given(block=st.sampled_from(BLOCKS), batch=st.integers(1, 4), c_in=st.integers(1, 3),
+           c_out=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
+           k=st.integers(1, 3), stride=st.integers(1, 3), padding=st.integers(0, 2),
+           density=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_block_size_leaves_bits_unchanged(self, block, batch, c_in, c_out, h, w, k,
+                                              stride, padding, density, seed):
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (batch, c_in, h, w)) * (rng.random((batch, c_in, h, w)) < density)
+        kern = rng.uniform(-1, 1, (c_out, c_in, k, k))
+        with mock.patch.object(numerics, "_BLOCK", block):
+            got = conv2d(x, kern, stride, padding)
+        want = np.stack([conv2d_oracle(xi, kern, stride, padding) for xi in x])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_output_shape_formula(self):
         rng = np.random.default_rng(9)
         for h, w, k, stride, padding in [
@@ -190,3 +227,63 @@ class TestConv2dGradients:
                 assert gx.shape == x.shape and gk.shape == kern.shape
                 assert np.sum(x * gx) == pytest.approx(forward, rel=1e-12)
                 assert np.sum(kern * gk) == pytest.approx(forward, rel=1e-12)
+
+
+def _block_bytes(out_size: int, count: int) -> int:
+    """Bytes of the largest block of terms of a `count`-term reduction into
+    `out_size` elements: as many whole terms as fit in numerics._BLOCK
+    elements, at least one, at most all of them."""
+    return 8 * out_size * min(count, max(1, numerics._BLOCK // out_size))
+
+
+def _conv_case():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (256, 8, 8, 8))
+    kern = rng.uniform(-1, 1, (16, 8, 3, 3))
+    padded = 8 * 256 * 8 * 10 * 10
+    out = 8 * 256 * 16 * 4 * 4
+    return (lambda: conv2d(x, kern, 2, 1)), padded + kern.nbytes, out, _block_bytes(out // 8, 72)
+
+
+def _matmul_case():
+    rng = np.random.default_rng(1)
+    a = rng.uniform(-1, 1, (256, 256))
+    b = rng.uniform(-1, 1, (256, 4))
+    out = 8 * 256 * 4
+    return (lambda: matmul(a, b)), a.nbytes + b.nbytes, out, _block_bytes(out // 8, 256)
+
+
+def _event_conv_case():
+    rng = np.random.default_rng(2)
+    w = binarize_weights(rng.uniform(-1, 1, (16, 8, 3, 3)))
+    layer = BinaryLayer(w_latent=w, alpha=np.ones(16), binarize=True, kind=CONV,
+                        stride=2, padding=1)
+    spikes = rng.uniform(0, 1, (8, 8, 8)) * (rng.random((8, 8, 8)) < 0.6)
+    events = events_from_spikes(spikes)
+    # The events scattered into a sample, and its padded copy.
+    operands = 8 * 8 * 8 * 8 + 8 * 8 * 10 * 10 + w.nbytes
+    out = 8 * 16 * 4 * 4
+    # With a counter, as eval calls it: the landings are counted from the
+    # blocks the reduction gathers, not from a second gather.
+    return ((lambda: addition_only_forward(layer, events, spikes.shape, OpCounter())),
+            operands, out, _block_bytes(out // 8, 72))
+
+
+@pytest.mark.parametrize("case", [_conv_case, _matmul_case, _event_conv_case],
+                         ids=["conv2d-b256", "matmul-256x256x4", "event-conv-one-sample"])
+def test_transient_memory_is_operands_output_and_one_block(case):
+    """A kernel call allocates at most: its operands as it reads them (conv:
+    the zero-padded input), twice its output (the accumulator and the
+    C-contiguous result), twice one block (a block's terms and the inputs
+    gathered for them, never more than its terms) and 64 KiB for index arrays
+    and small objects. Gathering every tap's patch at once, or building every
+    term of a reduction at once, exceeds it."""
+    call, operands, out, block = case()
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= operands + 2 * out + 2 * block + 64 * 1024

@@ -1,0 +1,154 @@
+"""In-process A/B timing of the fixed-order kernels against another checkout.
+
+Loads this tree's engine and the one under DIR/src side by side in one
+process, under distinct package names, and times `matmul`, `conv2d` and
+`addition_only_forward` (public API on both sides) at the shapes the
+shipped recipes run: a training batch of 64, an eval batch of 256 and one
+sample (the event path). Every shape is timed in interleaved rounds, the
+side that runs first alternating from round to round, so that a drift of the
+host's speed hits both sides alike.
+
+From the repository root, with DIR a checkout of the parent commit (made with
+`git archive` or `git clone`):
+
+    python3 tools/kernel_ab.py --against DIR
+
+Each shape's outputs must be byte-equal on both sides; the script checks
+that first and exits 1 naming the shape on any difference. It then prints,
+per shape, the median time per call of each side over the rounds, and the
+median and quartiles of the per-round ratio (parent over change, the two
+timed back to back: above 1 means this tree is faster). Running it with DIR
+a second copy of this tree shows how far the ratios stray on that host with
+no change at all.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROUND_S = 0.02        # each side's timing of one shape in one round lasts at least this
+
+
+def load_engine(src: Path, name: str):
+    """The reverb_snn package under `src`, imported as `name`."""
+    pkg = src / "reverb_snn"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sign_layer(engine, w, **conv):
+    """A folded binarized layer of `engine` with sign weights `w`."""
+    kind = engine.layers.CONV if conv else engine.layers.DENSE
+    return engine.BinaryLayer(w_latent=w, alpha=np.ones(w.shape[0]), binarize=True,
+                              kind=kind, **conv)
+
+
+def _spikes(rng, shape, density):
+    return rng.uniform(0, 1, shape) * (rng.uniform(0, 1, shape) < density)
+
+
+def _event(w, spikes, **conv):
+    """Setup of one event-kernel call: the layer and event list are built once
+    per engine, outside the timing."""
+    def make(e):
+        layer = _sign_layer(e, w, **conv)
+        events = e.events_from_spikes(spikes)
+        return lambda: e.addition_only_forward(layer, events, spikes.shape)
+    return make
+
+
+def cases(rng):
+    """(label, make) pairs; make(engine) returns a call of one kernel on fixed
+    operands.
+
+    convnet-bars: conv 1->8 (3x3, stride 1, pad 1) on 8x8, conv 8->16
+    (stride 2, pad 1), head 256->4. rings-tiny: 8-16-16-16-2. infer-wide:
+    a 128x128 binarized layer. Spiking inputs fire at about the trained
+    recipes' rate.
+    """
+    out = []
+    k1 = rng.uniform(-1, 1, (8, 1, 3, 3))
+    k2 = rng.uniform(-1, 1, (16, 8, 3, 3))
+    head = rng.uniform(-1, 1, (256, 4))
+    hidden = rng.uniform(-1, 1, (16, 16))
+    for b in (64, 256, 1):
+        x1 = rng.uniform(0, 1, (b, 1, 8, 8))
+        x2 = _spikes(rng, (b, 8, 8, 8), 0.6)
+        xh = _spikes(rng, (b, 256), 0.6)
+        xm = _spikes(rng, (b, 16), 0.6)
+        out += [
+            (f"conv2d 1->8 B={b}", lambda e, x=x1: lambda: e.conv2d(x, k1, 1, 1)),
+            (f"conv2d 8->16 s2 B={b}", lambda e, x=x2: lambda: e.conv2d(x, k2, 2, 1)),
+            (f"matmul {b}x256 @ 256x4", lambda e, x=xh: lambda: e.matmul(x, head)),
+            (f"matmul {b}x16 @ 16x16", lambda e, x=xm: lambda: e.matmul(x, hidden)),
+        ]
+    wide = rng.uniform(-1, 1, (128, 128))
+    xw = _spikes(rng, (256, 128), 0.5)
+    sign = np.where(rng.uniform(-1, 1, (128, 128)) >= 0, 1.0, -1.0)
+    out += [
+        ("matmul 256x128 @ 128x128", lambda e: lambda: e.matmul(xw, wide)),
+        ("event conv 8->16 s2", _event(np.where(k2 >= 0, 1.0, -1.0),
+                                       _spikes(rng, (8, 8, 8), 0.6), stride=2, padding=1)),
+        ("event dense 16->16", _event(sign[:16, :16], _spikes(rng, 16, 0.6))),
+        ("event dense 128->128", _event(sign, _spikes(rng, 128, 0.5))),
+    ]
+    return out
+
+
+def _per_call(fn, number: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return (time.perf_counter() - t0) / number
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--against", type=Path, metavar="DIR", required=True,
+                   help="checkout whose DIR/src engine is the parent side")
+    p.add_argument("--rounds", type=int, default=15)
+    args = p.parse_args(argv)
+    if args.rounds < 2:
+        p.error("--rounds must be at least 2")
+    root = Path(__file__).resolve().parent.parent
+    engines = {side: load_engine(src, f"reverb_snn_{side}")
+               for side, src in (("parent", args.against.resolve() / "src"),
+                                 ("change", root / "src"))}
+    shapes = cases(np.random.default_rng(0))
+    for label, make in shapes:
+        fns = {side: make(engine) for side, engine in engines.items()}
+        outs = {side: fn() for side, fn in fns.items()}
+        if (outs["parent"].shape != outs["change"].shape
+                or outs["parent"].tobytes() != outs["change"].tobytes()):
+            print(f"outputs differ: {label}")
+            return 1
+        number = 1
+        while _per_call(fns["change"], number) * number < ROUND_S:
+            number *= 2
+        times = {"parent": [], "change": []}
+        for r in range(args.rounds):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for side in order:
+                times[side].append(_per_call(fns[side], number))
+        pm, cm = statistics.median(times["parent"]), statistics.median(times["change"])
+        q1, ratio, q3 = statistics.quantiles(
+            [p / c for p, c in zip(times["parent"], times["change"])], n=4)
+        print(f"{label:<26} parent {pm * 1e6:10.1f} us  change {cm * 1e6:10.1f} us  "
+              f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
+    print(f"all outputs byte-equal over {len(shapes)} shapes")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
