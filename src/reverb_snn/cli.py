@@ -21,7 +21,7 @@ from .datasets import load_dataset
 from .errors import (DimensionError, EngineError, ModeError, ParseError,
                      StateError, TrainingError)
 from .events import evaluate_dense, evaluate_event_driven
-from .network import build_gradcheck_net, build_network
+from .network import MODES, build_gradcheck_net, build_network
 from .reparam import fold_alpha, verify_equivalence
 from .training import TrainConfig, gradient_check, train
 
@@ -102,10 +102,6 @@ def cmd_reparam(args) -> int:
 def _run_eval(args, with_accuracy: bool) -> int:
     net = load_checkpoint(args.checkpoint)
     data = load_dataset(args.dataset, seed=args.seed)
-    if tuple(data.input_shape) != tuple(net.input_shape):
-        raise DimensionError(
-            f"dataset samples {data.input_shape} do not match network input {net.input_shape}"
-        )
     if args.timesteps is not None:
         net.timesteps = args.timesteps
     if net.inference_form:
@@ -146,16 +142,12 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
-def _non_negative_int(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,16 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True, help="checkpoint output path")
     t.add_argument("--metrics", default=None, help="metrics file (default: <out>.metrics)")
-    t.add_argument("--seed", type=_non_negative_int, default=None)
-    t.add_argument("--mode", choices=("vanilla", "reverb", "reverb-learnable"), default=None)
-    t.add_argument("--timesteps", type=_positive_int, default=None)
+    t.add_argument("--seed", type=_int_at_least(0), default=None)
+    t.add_argument("--mode", choices=MODES, default=None)
+    t.add_argument("--timesteps", type=_int_at_least(1), default=None)
     t.set_defaults(func=cmd_train)
 
     r = sub.add_parser("reparam", help="fold amplitudes into firing scales")
     r.add_argument("--checkpoint", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--probes", type=_positive_int, default=32)
-    r.add_argument("--seed", type=_non_negative_int, default=0)
+    r.add_argument("--probes", type=_int_at_least(1), default=32)
+    r.add_argument("--seed", type=_int_at_least(0), default=0)
     r.set_defaults(func=cmd_reparam)
 
     for name, fn, hlp in (("eval", cmd_eval, "accuracy + energy report"),
@@ -186,14 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
         e = sub.add_parser(name, help=hlp)
         e.add_argument("--checkpoint", required=True)
         e.add_argument("--dataset", required=True)
-        e.add_argument("--seed", type=_non_negative_int, default=0)
-        e.add_argument("--timesteps", type=_positive_int, default=None,
+        e.add_argument("--seed", type=_int_at_least(0), default=0)
+        e.add_argument("--timesteps", type=_int_at_least(1), default=None,
                        help="run the loaded network for this many timesteps")
         e.set_defaults(func=fn)
 
     g = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     g.add_argument("--config", default=None)
-    g.add_argument("--seed", type=_non_negative_int, default=None)
+    g.add_argument("--seed", type=_int_at_least(0), default=None)
     g.set_defaults(func=cmd_gradcheck)
     return p
 

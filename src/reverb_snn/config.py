@@ -8,8 +8,9 @@ learning rate 0.1 with cosine decay to zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ParseError
 from .network import ARCHITECTURES, MODES
@@ -53,13 +54,7 @@ class RunConfig:
                 raise ParseError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
-_PARSERS = {
-    "dataset": str, "architecture": str, "mode": str,
-    "timesteps": int, "epochs": int, "batch": int, "seed": int,
-    "tau": float, "v_th": float, "lr0": float, "momentum": float,
-    "affine": _parse_bool,
-}
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+_PARSERS = {k: _parse_bool if t is bool else t for k, t in get_type_hints(RunConfig).items()}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
@@ -84,5 +79,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    return parse_config_text(path.read_text(), origin=str(path))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text", offset=exc.start)
+    return parse_config_text(text, origin=str(path))

@@ -171,10 +171,9 @@ def _load_csv_dir(directory: Path, seed: int) -> Dataset:
     train_parts, test_parts = [], []
     width = None
     for f in files:
-        try:
-            label = int(f.stem)
-        except ValueError:
-            raise ParseError(f"CSV file name {f.name} is not an integer class label")
+        if not f.stem.isdecimal():
+            raise ParseError(f"CSV file name {f.name} is not a non-negative integer class label")
+        label = int(f.stem)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns on empty files

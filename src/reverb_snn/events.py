@@ -14,10 +14,13 @@ dense forward pass, so the two paths agree bitwise by construction.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,
-dense or conv. Binarized (middle) layers cost one SOP per accumulate, which
-over a dataset equals s * T * A with s the mean input sparsity and A their
-MAC count; the real-weight encoder and classifier cost one FLOP per MAC,
-charged once per timestep. Energy uses 12.5 pJ per FLOP and 77 fJ per SOP.
+dense or conv. Binarized (middle) layers cost one SOP per accumulate. Over a
+dataset a dense layer's count equals s * T * A, with s the mean input
+sparsity and A its MAC count. A conv layer's does not: s * T * A also
+charges the taps that land on zero padding, and weighs every input alike
+though stride and borders give inputs different numbers of taps. The
+real-weight encoder and classifier cost one FLOP per MAC, charged once per
+timestep. Energy uses 12.5 pJ per FLOP and 77 fJ per SOP.
 Dense and event evaluation share one loop (`_evaluate`) and differ only in
 how a batch's logits are computed and where the SOP count comes from.
 """
@@ -33,7 +36,7 @@ from .errors import DimensionError, ModeError, StateError
 from .layers import CONV, DENSE, BinaryLayer
 from .network import Network
 from .numerics import _accumulate, _conv_terms, as_f64, conv2d, matmul
-from .training import _unroll, aggregate_output, forward_pass
+from .training import _check_batch, _samples_and_labels, _unroll, aggregate_output, forward_pass
 
 FLOP_JOULES = 12.5e-12
 SOP_JOULES = 77e-15
@@ -228,11 +231,8 @@ def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None
     input sparsity is still recorded since binary spikes make them
     addition-only as well.
     """
-    sample = as_f64(sample)
-    if tuple(sample.shape) != tuple(net.input_shape):
-        raise DimensionError(
-            f"sample shape {sample.shape} does not match network input {net.input_shape}"
-        )
+    batch = as_f64(sample)[None]
+    _check_batch(net, batch)
     last = len(net.layers) - 1
 
     def current(l, x):
@@ -244,7 +244,7 @@ def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None
             return matmul(x, layer.w_latent.T)
         return conv2d(x, layer.w_latent, layer.stride, layer.padding)
 
-    outputs, cache = _unroll(net, sample[None], current)
+    outputs, cache = _unroll(net, batch, current)
     if meter is not None:
         _record_sparsity(meter, cache.inputs)
     return [o[0] for o in outputs]
@@ -254,8 +254,7 @@ def _evaluate(net: Network, x, y, batch_size: int, logits, sops):
     """Top-1 accuracy and a per-image EnergyReport. `logits(xb, meter)` gives a
     batch's timestep-averaged outputs and records its middle layers' inputs in
     `meter`; `sops(sparsity)` gives the SOPs per sample."""
-    x = as_f64(x)
-    y = np.asarray(y)
+    x, y = _samples_and_labels(x, y)
     if not len(x):
         raise StateError("no samples to evaluate")
     meter = SparsityMeter()

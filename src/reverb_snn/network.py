@@ -223,8 +223,6 @@ def build_network(
         return build_mlp(input_shape, num_classes, mode, timesteps, tau, v_th, seed,
                          hidden=16, middle_layers=2, affine=affine)
     if arch == "convnet-small":
-        if len(input_shape) == 1:
-            raise DimensionError("convnet-small requires image-shaped (C, H, W) input")
         return build_convnet(input_shape, num_classes, mode, timesteps, tau, v_th, seed, affine=affine)
     raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
 

@@ -59,6 +59,20 @@ def _feed_shape(layer: L.BinaryLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_batch(net: Network, batch: np.ndarray) -> None:
+    """The network-input rule: a leading sample axis over net.input_shape samples."""
+    if tuple(batch.shape[1:]) != tuple(net.input_shape):
+        raise DimensionError(f"input {batch.shape} is not a batch of {net.input_shape} samples")
+
+
+def _samples_and_labels(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Features as float64 and labels as an array, one label per sample."""
+    x, y = as_f64(x), np.asarray(y)
+    if len(x) != len(y):
+        raise DimensionError(f"{len(x)} samples but {len(y)} labels")
+    return x, y
+
+
 def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False):
     """The LIF loop shared by the dense and event paths.
 
@@ -109,13 +123,7 @@ def forward_pass(net: Network, batch: np.ndarray, *, surrogate: bool = False):
     consumed by backward_stbp.
     """
     batch = as_f64(batch)
-    if batch.ndim < 2:
-        raise DimensionError(f"batch must have a leading sample axis, got {batch.shape}")
-    if tuple(batch.shape[1:]) != tuple(net.input_shape):
-        raise DimensionError(
-            f"batch samples of shape {batch.shape[1:]} do not match "
-            f"network input {net.input_shape}"
-        )
+    _check_batch(net, batch)
     return _unroll(net, batch, lambda l, x: L.forward(net.layers[l], x, surrogate),
                    surrogate)
 
@@ -285,9 +293,7 @@ def train(net: Network, data, cfg: TrainConfig):
     Deterministic given cfg.seed: the only randomness is the epoch shuffle.
     Raises TrainingError (with the epoch index) if the loss goes non-finite.
     """
-    x, y = data
-    x = as_f64(x)
-    y = np.asarray(y)
+    x, y = _samples_and_labels(*data)
     if len(x) == 0:
         raise ValueError("training dataset is empty")
     rng = np.random.default_rng(cfg.seed)
@@ -349,8 +355,7 @@ def gradient_check(net: Network, batch, labels, eps: float = 1e-6,
     skipped. `corrupt` is a test hook mutating the analytic gradients before
     comparison.
     """
-    batch = as_f64(batch)
-    labels = np.asarray(labels)
+    batch, labels = _samples_and_labels(batch, labels)
 
     def loss_now() -> float:
         outputs, _ = forward_pass(net, batch, surrogate=True)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from reverb_snn.checkpoint import load_checkpoint
+from reverb_snn.checkpoint import load_checkpoint, save_checkpoint
 from reverb_snn.cli import main
+from reverb_snn.network import build_network
+from reverb_snn.reparam import fold_alpha
 
 
 def write_config(path, **overrides):
@@ -66,7 +68,6 @@ class TestTrain:
         out = tmp_path / "init.rvrb"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         net = load_checkpoint(out)
-        from reverb_snn.network import build_network
         fresh = build_network("mlp-small", (16,), 2, "reverb", 2, 0.25, 0.0, seed=0)
         for a, b in zip(net.layers, fresh.layers):
             np.testing.assert_array_equal(a.w_latent, b.w_latent)
@@ -87,6 +88,13 @@ class TestTrain:
         bad.write_text("bogus_key = 1\n")
         assert main(["train", "--config", str(bad),
                      "--out", str(tmp_path / "x.rvrb")]) == 2
+
+    def test_non_utf8_config_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfedataset = rings\n")
+        assert main(["train", "--config", str(bad),
+                     "--out", str(tmp_path / "x.rvrb")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("tau", "2"), ("tau", "-0.25"), ("tau", "nan"), ("v_th", "nan"), ("v_th", "inf"),
@@ -289,6 +297,16 @@ class TestEvalAndEnergy:
         _, out = trained
         assert main(["eval", "--checkpoint", str(out),
                      "--dataset", "bar-images"]) == 4
+
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_wrong_sample_shape_exits_4_on_both_paths(self, tmp_path, folded, capsys):
+        # The dense path (trained form) and the event path (folded form) each
+        # check the samples they are given.
+        net = build_network("mlp-tiny", (8,), 2, "reverb", 2, seed=0)
+        out = tmp_path / "net.rvrb"
+        save_checkpoint(fold_alpha(net) if folded else net, out)
+        assert main(["eval", "--checkpoint", str(out), "--dataset", "bar-images"]) == 4
+        assert "(8,)" in capsys.readouterr().err
 
 
 class TestGradcheck:

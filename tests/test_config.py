@@ -1,5 +1,8 @@
 """Run-config file parsing."""
 
+from dataclasses import fields
+from typing import get_type_hints
+
 import pytest
 
 from reverb_snn.config import RunConfig, load_config, parse_config_text
@@ -86,3 +89,20 @@ def test_load_config_roundtrip(tmp_path):
 def test_boundary_values_accepted(text):
     parse_config_text(text)
 
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+def test_every_field_parses_to_its_own_type(field):
+    default = getattr(RunConfig(), field)
+    cfg = parse_config_text(f"{field} = {default}")
+    value = getattr(cfg, field)
+    assert type(value) is get_type_hints(RunConfig)[field]
+    assert value == default
+
+
+def test_non_utf8_file_is_parse_error(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(b"\xff\xfeseed = 1\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_config(p)
+    assert exc.value.offset == 0

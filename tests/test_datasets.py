@@ -82,6 +82,13 @@ class TestCsvDirectory:
         with pytest.raises(ParseError):
             load_dataset(str(tmp_path), seed=0)
 
+    def test_negative_label_name_rejected(self, tmp_path):
+        # Training on label -1 would end in "labels out of range".
+        self._write_digit_csvs(tmp_path)
+        (tmp_path / "-1.csv").write_text((tmp_path / "0.csv").read_text())
+        with pytest.raises(ParseError, match="-1.csv"):
+            load_dataset(str(tmp_path), seed=0)
+
     def test_ragged_rows_rejected(self, tmp_path):
         (tmp_path / "0.csv").write_text("1,2,3\n4,5\n")
         with pytest.raises(ParseError):

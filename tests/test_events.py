@@ -409,6 +409,18 @@ class TestEventForward:
             assert report.sparsity_per_layer == {}
             assert report.flops == count_flops(net) > 0
 
+    def test_dense_only_network_event_sops_equal_dense_estimate(self):
+        # For dense layers the accumulations the event kernel performs are
+        # s * T * A; conv layers differ (zero padding, uneven tap coverage).
+        rng = np.random.default_rng(12)
+        net = fold_alpha(build_mlp((8,), 2, MODE_LEARNABLE, timesteps=3, seed=12,
+                                   hidden=16, middle_layers=2))
+        x, y = rng.uniform(0, 1, (40, 8)), rng.integers(0, 2, 40)
+        _, event, counter = evaluate_event_driven(net, x, y)
+        _, dense = evaluate_dense(net, x, y)
+        assert counter.accumulations > 0
+        assert event.sops == pytest.approx(dense.sops, rel=1e-12)
+
     @pytest.mark.parametrize("middle_layers", [0, 1])
     def test_empty_sample_set_is_state_error(self, middle_layers):
         net = build_mlp((8,), 2, MODE_REVERB, timesteps=2, seed=0, middle_layers=middle_layers)
