@@ -182,6 +182,8 @@ def _load_csv_dir(directory: Path, seed: int) -> Dataset:
             raise ParseError(f"{f.name}: {exc}")
         if rows.size == 0:
             raise ParseError(f"{f.name}: no samples")
+        if not np.isfinite(rows).all():
+            raise ParseError(f"{f.name}: non-finite value (nan or inf)")
         if width is None:
             width = rows.shape[1]
         elif rows.shape[1] != width:

@@ -254,7 +254,7 @@ def _evaluate(net: Network, x, y, batch_size: int, logits, sops):
     """Top-1 accuracy and a per-image EnergyReport. `logits(xb, meter)` gives a
     batch's timestep-averaged outputs and records its middle layers' inputs in
     `meter`; `sops(sparsity)` gives the SOPs per sample."""
-    x, y = _samples_and_labels(x, y)
+    x, y = _samples_and_labels(net, x, y)
     if not len(x):
         raise StateError("no samples to evaluate")
     meter = SparsityMeter()

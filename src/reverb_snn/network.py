@@ -15,6 +15,8 @@ weights; only middle layers are ever binarized.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import DimensionError
 from .layers import CONV, DENSE, BinaryLayer, _params
 from .neuron import FireMode, NeuronParams
-from .numerics import conv_output_size
+from .numerics import _check_conv_args
 
 MODE_VANILLA = "vanilla"
 MODE_REVERB = "reverb"
@@ -55,35 +57,27 @@ class Network:
 
     def layer_output_shapes(self) -> list[tuple[int, ...]]:
         """Per-sample output shape of each layer, propagated from input_shape."""
-        shapes = []
-        cur = tuple(self.input_shape)
-        for layer in self.layers:
-            if layer.kind == DENSE:
-                n_in = math.prod(cur)
-                if n_in != layer.w_latent.shape[1]:
-                    raise DimensionError(
-                        f"dense layer expects {layer.w_latent.shape[1]} inputs, "
-                        f"upstream provides {n_in}"
-                    )
-                cur = (layer.out_channels,)
-            else:
-                if len(cur) != 3 or cur[0] != layer.w_latent.shape[1]:
-                    raise DimensionError(
-                        f"conv layer expects {layer.w_latent.shape[1]} input channels, "
-                        f"upstream provides {cur}"
-                    )
-                k = layer.w_latent.shape[2]
-                h = conv_output_size(cur[1], k, layer.stride, layer.padding)
-                w = conv_output_size(cur[2], k, layer.stride, layer.padding)
-                cur = (layer.out_channels, h, w)
-            shapes.append(cur)
-        return shapes
+        return list(itertools.accumulate(self.layers, _output_shape,
+                                         initial=tuple(self.input_shape)))[1:]
 
     def parameters(self):
         """Yield (name, array) for every trainable parameter."""
         for i, layer in enumerate(self.layers):
             for name, param in _params(layer):
                 yield f"layer{i}.{name}", param
+
+
+def _output_shape(shape: tuple[int, ...], layer: BinaryLayer) -> tuple[int, ...]:
+    """Per-sample output shape of `layer` on `shape` input; DimensionError if
+    the layer cannot take it (conv: `numerics._check_conv_args`)."""
+    if layer.kind == CONV:
+        return (layer.out_channels,) + _check_conv_args(shape, layer.w_latent, layer.stride,
+                                                        layer.padding)
+    if math.prod(shape) != layer.w_latent.shape[1]:
+        raise DimensionError(
+            f"dense layer expects {layer.w_latent.shape[1]} inputs, upstream provides {shape}"
+        )
+    return (layer.out_channels,)
 
 
 def _alpha_init(w: np.ndarray, learnable: bool) -> np.ndarray:
@@ -171,17 +165,14 @@ def build_convnet(
     if len(input_shape) != 3:
         raise DimensionError(f"convnet input must be (C, H, W), got {input_shape}")
     rng = np.random.default_rng(seed)
-    c_in, h, w = input_shape
+    c_in = input_shape[0]
     c1, c2 = channels
     layers = [
         _make_layer(rng, (c1, c_in, 3, 3), CONV, mode, middle=False, stride=1, padding=1),
         _make_layer(rng, (c2, c1, 3, 3), CONV, mode, middle=True, stride=2, padding=1, affine=affine),
     ]
-    h2 = conv_output_size(h, 3, 2, 1)
-    w2 = conv_output_size(w, 3, 2, 1)
-    layers.append(
-        _make_layer(rng, (num_classes, c2 * h2 * w2), DENSE, mode, middle=False)
-    )
+    fan_in = math.prod(functools.reduce(_output_shape, layers, tuple(input_shape)))
+    layers.append(_make_layer(rng, (num_classes, fan_in), DENSE, mode, middle=False))
     neurons = [_neuron(mode, tau, v_th) for _ in layers]
     return Network(layers, neurons, timesteps, tuple(input_shape), num_classes, mode)
 

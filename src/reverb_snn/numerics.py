@@ -12,9 +12,9 @@ and transpose the sum once, which changes no output's term order.
 
 The backward helpers (`*_grad`) have no ordering contract; they only need to
 be deterministic, which numpy's einsum (optimize left off) guarantees.
-`_tap` maps a kernel offset to the input positions it meets for both
-gradients; the forward reads the same positions as rows of one strided view
-(`_conv_terms`).
+`_windows` is the one map from a kernel tap to the input positions it meets,
+as rows of one strided view of the padded batch; the forward, the conv event
+branch and both conv gradients read or write those rows.
 """
 
 from __future__ import annotations
@@ -90,27 +90,22 @@ def conv_output_size(extent: int, kernel: int, stride: int, padding: int) -> int
     return (extent + 2 * padding - kernel) // stride + 1
 
 
-def _check_conv_args(c_in, h, w, kernels, stride, padding):
+def _check_conv_args(sample_shape, kernels, stride, padding) -> tuple[int, int]:
+    """(H_out, W_out) of the conv of (C_in, H, W) samples by (C_out, C_in, k, k)
+    kernels; DimensionError if the arguments do not make a conv."""
+    if len(sample_shape) != 3:
+        raise DimensionError(f"conv input samples must be (C_in, H, W), got {sample_shape}")
+    c_in, h, w = sample_shape
     if kernels.ndim != 4 or kernels.shape[2] != kernels.shape[3]:
         raise DimensionError(f"kernels must be (C_out, C_in, k, k), got {kernels.shape}")
     if kernels.shape[1] != c_in:
-        raise DimensionError(
-            f"kernel input channels {kernels.shape[1]} != input channels {c_in}"
-        )
+        raise DimensionError(f"kernel input channels {kernels.shape[1]} != input channels {c_in}")
     if stride < 1:
         raise DimensionError(f"stride must be >= 1, got {stride}")
-    k = kernels.shape[2]
-    if k > h + 2 * padding or k > w + 2 * padding:
-        raise DimensionError(
-            f"kernel size {k} exceeds padded input {h + 2 * padding}x{w + 2 * padding}"
-        )
-
-
-def _tap(ky: int, kx: int, stride: int, out_hw) -> tuple:
-    """Index of the (..., H_out, W_out) positions of a padded input that
-    kernel offset (ky, kx) meets."""
-    h_out, w_out = out_hw
-    return (..., slice(ky, ky + stride * h_out, stride), slice(kx, kx + stride * w_out, stride))
+    k, hp, wp = kernels.shape[2], h + 2 * padding, w + 2 * padding
+    if k > min(hp, wp):
+        raise DimensionError(f"kernel size {k} exceeds padded input {hp}x{wp}")
+    return conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding)
 
 
 def pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
@@ -133,27 +128,31 @@ def _tap_offsets(c_in: int, k: int, row: int, plane: int) -> np.ndarray:
     return offsets
 
 
-def _conv_terms(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
-    """Channel-major output shape (C_out, B, H_out, W_out), term count and
-    block function (see `_accumulate`) of the conv of the (B, C_in, H, W)
-    batch `x`, in ascending (c_in, ky, kx) order.
-
-    A term's patch is the (B, H_out, W_out) input positions its tap meets.
-    All of them are rows of one strided view of the padded batch, indexed by
-    the tap's flat offset c_in * Hp * Wp + ky * Wp + kx, so a block gathers
-    its taps' patches with one copy.
-    """
-    batch, c_in, h, w = x.shape
-    _check_conv_args(c_in, h, w, kernels, stride, padding)
-    c_out, _, k, _ = kernels.shape
-    out_hw = (conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding))
-    xp = np.ascontiguousarray(pad_spatial(x, padding))
-    offsets = _tap_offsets(c_in, k, xp.shape[3], xp.shape[2] * xp.shape[3])
+def _windows(xp: np.ndarray, k: int, stride: int, out_hw):
+    """A view of the padded (B, C_in, Hp, Wp) batch `xp` (made C-contiguous;
+    it shares its memory) whose row o is the (B, H_out, W_out) positions met by
+    the tap at flat offset o = c_in * Hp * Wp + ky * Wp + kx, and the offsets
+    of every tap in ascending (c_in, ky, kx) order."""
+    xp = np.ascontiguousarray(xp)
+    batch, c_in, hp, wp = xp.shape
+    offsets = _tap_offsets(c_in, k, wp, hp * wp)
     # Row o starts at element o of the batch's first sample; ndarray checks
     # that the last tap's row ends inside the batch.
     sb, _, sy, sx = xp.strides
-    windows = np.ndarray((offsets[-1] + 1, 1, batch) + out_hw, xp.dtype, xp, 0,
-                         (xp.itemsize, 0, sb, sy * stride, sx * stride))
+    rows = np.ndarray((offsets[-1] + 1, batch) + out_hw, xp.dtype, xp, 0,
+                      (xp.itemsize, sb, sy * stride, sx * stride))
+    return rows, offsets
+
+
+def _conv_terms(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
+    """Channel-major output shape (C_out, B, H_out, W_out), term count and
+    block function (see `_accumulate`) of the conv of the (B, C_in, H, W)
+    batch `x`, in ascending (c_in, ky, kx) order. A term's patch is its
+    tap's row (`_windows`), so a block gathers its taps' patches with one
+    copy."""
+    out_hw = _check_conv_args(x.shape[1:], kernels, stride, padding)
+    c_out, _, k, _ = kernels.shape
+    rows, offsets = _windows(pad_spatial(x, padding), k, stride, out_hw)
     columns = kernels.transpose(1, 2, 3, 0).reshape(-1, c_out, 1, 1, 1)
 
     def block(lo, hi):
@@ -162,10 +161,10 @@ def _conv_terms(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
             # One tap, or taps of one kernel row, at consecutive offsets: a
             # slice copy costs less than an index gather, and large outputs
             # get one tap per block.
-            return np.ascontiguousarray(windows[first : last + 1]), columns[lo:hi]
-        return windows[offsets[lo:hi]], columns[lo:hi]
+            return np.ascontiguousarray(rows[first : last + 1, None]), columns[lo:hi]
+        return rows[offsets[lo:hi], None], columns[lo:hi]
 
-    return (c_out, batch) + out_hw, len(offsets), block
+    return (c_out, len(x)) + out_hw, len(offsets), block
 
 
 def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -190,26 +189,28 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
 
 
 def conv2d_input_grad(grad_out, kernels, stride: int, padding: int, input_hw) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its input (transposed correlation)."""
+    """Gradient of conv2d w.r.t. its input (transposed correlation): one
+    einsum gives every tap's share, and each share is added into its tap's
+    row of the zeroed, padded gradient in ascending tap order."""
     g = as_f64(grad_out)
     kernels = as_f64(kernels)
     h, w = input_hw
-    c_in, k = kernels.shape[1], kernels.shape[2]
+    c_out, c_in, k, _ = kernels.shape
     gxp = np.zeros((g.shape[0], c_in, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            gxp[_tap(ky, kx, stride, g.shape[2:])] += np.einsum(
-                "bohw,oc->bchw", g, kernels[:, :, ky, kx])
+    rows, offsets = _windows(gxp, k, stride, g.shape[2:])
+    # On C_out-major g, einsum sums over C_out in its outer loop: 4-5x faster.
+    g_t = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+    shares = np.einsum("obhw,ot->tbhw", g_t, kernels.reshape(c_out, -1))
+    for offset, share in zip(offsets, shares):
+        rows[offset] += share
     return gxp[:, :, padding : padding + h, padding : padding + w]
 
 
 def conv2d_kernel_grad(inp, grad_out, stride: int, padding: int, k: int) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its kernels, summed over the batch."""
+    """Gradient of conv2d w.r.t. its kernels, summed over the batch: one
+    gather of every tap's row and one einsum."""
     x = as_f64(inp)
     g = as_f64(grad_out)
-    xp = pad_spatial(x, padding)
-    gk = np.zeros((g.shape[1], x.shape[1], k, k), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            gk[:, :, ky, kx] = np.einsum("bohw,bchw->oc", g, xp[_tap(ky, kx, stride, g.shape[2:])])
-    return gk
+    rows, offsets = _windows(pad_spatial(x, padding), k, stride, g.shape[2:])
+    gk = np.einsum("bohw,tbhw->ot", g, rows[offsets])
+    return gk.reshape(g.shape[1], x.shape[1], k, k)

@@ -65,11 +65,16 @@ def _check_batch(net: Network, batch: np.ndarray) -> None:
         raise DimensionError(f"input {batch.shape} is not a batch of {net.input_shape} samples")
 
 
-def _samples_and_labels(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Features as float64 and labels as an array, one label per sample."""
+def _samples_and_labels(net: Network, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Features as float64 and labels as an array: one label per sample, a batch
+    for `net` (checked first, the clearer fault), labels in [0, net.num_classes)."""
     x, y = as_f64(x), np.asarray(y)
     if len(x) != len(y):
         raise DimensionError(f"{len(x)} samples but {len(y)} labels")
+    _check_batch(net, x)
+    outside = sorted(set(y[(y < 0) | (y >= net.num_classes)].tolist()))
+    if outside:
+        raise DimensionError(f"labels {outside} outside [0, {net.num_classes})")
     return x, y
 
 
@@ -293,7 +298,7 @@ def train(net: Network, data, cfg: TrainConfig):
     Deterministic given cfg.seed: the only randomness is the epoch shuffle.
     Raises TrainingError (with the epoch index) if the loss goes non-finite.
     """
-    x, y = _samples_and_labels(*data)
+    x, y = _samples_and_labels(net, *data)
     if len(x) == 0:
         raise ValueError("training dataset is empty")
     rng = np.random.default_rng(cfg.seed)
@@ -355,7 +360,7 @@ def gradient_check(net: Network, batch, labels, eps: float = 1e-6,
     skipped. `corrupt` is a test hook mutating the analytic gradients before
     comparison.
     """
-    batch, labels = _samples_and_labels(batch, labels)
+    batch, labels = _samples_and_labels(net, batch, labels)
 
     def loss_now() -> float:
         outputs, _ = forward_pass(net, batch, surrogate=True)

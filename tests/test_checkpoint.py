@@ -161,12 +161,20 @@ def test_scaled_mode_preserved(tmp_path):
     )
 
 
+TINY = {
+    "mlp": lambda: build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2, affine=True),
+    "convnet": lambda: build_convnet((1, 4, 4), 2, MODE_LEARNABLE, timesteps=1,
+                                     channels=(1, 2), affine=True),
+}
+
+
+@pytest.mark.parametrize("arch", TINY)
 @pytest.mark.parametrize("form", ["trained", "folded"])
-def test_every_single_bit_flip_loads_or_raises_engine_error(tmp_path, form):
-    # Corrupt headers, shapes, amplitudes, scales and thresholds must end in a
-    # ParseError, never in another error; a network that loads must chain and
-    # its head must give num_classes outputs.
-    net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2, affine=True)
+def test_every_single_bit_flip_loads_or_raises_engine_error(tmp_path, form, arch):
+    # Corrupt headers, shapes, strides, amplitudes, scales and thresholds must
+    # end in a ParseError, never in another error; a network that loads must
+    # chain and its head must give num_classes outputs.
+    net = TINY[arch]()
     if form == "folded":
         net = fold_alpha(net)
         assert net.neurons[1].mode is FireMode.SCALED_REAL

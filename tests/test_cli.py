@@ -308,6 +308,30 @@ class TestEvalAndEnergy:
         assert main(["eval", "--checkpoint", str(out), "--dataset", "bar-images"]) == 4
         assert "(8,)" in capsys.readouterr().err
 
+    def test_stride_zero_checkpoint_is_parse_error(self, tmp_path, capsys):
+        # A flipped bit 0 of a stride of 1 gives 0; the shape rule must
+        # reject it before any conv output size divides by it.
+        net = build_network("convnet-small", (1, 8, 8), 4, "reverb", 2, seed=0)
+        net.layers[0].stride = 0
+        out = tmp_path / "net.rvrb"
+        save_checkpoint(net, out)
+        assert main(["eval", "--checkpoint", str(out), "--dataset", "bar-images"]) == 2
+        assert "stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_labels_beyond_the_head_exit_4(self, tmp_path, folded, capsys):
+        # Class 2 of the CSV directory has no output of a 2-class network.
+        net = build_network("mlp-tiny", (8,), 2, "reverb", 2, seed=0)
+        out = tmp_path / "net.rvrb"
+        save_checkpoint(fold_alpha(net) if folded else net, out)
+        csvs = tmp_path / "csv"
+        csvs.mkdir()
+        rng = np.random.default_rng(0)
+        for c in range(3):
+            np.savetxt(csvs / f"{c}.csv", rng.uniform(0, 1, (5, 8)), delimiter=",")
+        assert main(["eval", "--checkpoint", str(out), "--dataset", str(csvs)]) == 4
+        assert "outside [0, 2)" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_gradcheck_passes_fresh_seed(self, capsys):

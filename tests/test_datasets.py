@@ -89,6 +89,16 @@ class TestCsvDirectory:
         with pytest.raises(ParseError, match="-1.csv"):
             load_dataset(str(tmp_path), seed=0)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        # Training on it would write NaN encoder weights and exit 0.
+        self._write_digit_csvs(tmp_path)
+        lines = (tmp_path / "1.csv").read_text().splitlines()
+        lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+        (tmp_path / "1.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="1.csv"):
+            load_dataset(str(tmp_path), seed=0)
+
     def test_ragged_rows_rejected(self, tmp_path):
         (tmp_path / "0.csv").write_text("1,2,3\n4,5\n")
         with pytest.raises(ParseError):

@@ -1,5 +1,5 @@
-"""The network-input rule and the one-label-per-sample rule, at every entry
-point that takes samples."""
+"""The network-input rule and the label rule (one label per sample, each a
+class of the network), at every entry point that takes samples."""
 
 import numpy as np
 import pytest
@@ -50,4 +50,19 @@ def test_fewer_labels_than_samples_is_dimension_error(entry):
             "train": lambda: train(net, (x, y), TrainConfig(epochs=1, seed=0)),
             "gradient_check": lambda: gradient_check(net, x, y)}[entry]
     with pytest.raises(DimensionError, match="20 samples but 10 labels"):
+        call()
+
+
+@pytest.mark.parametrize("entry", ["evaluate_dense", "evaluate_event_driven", "train",
+                                   "gradient_check"])
+@pytest.mark.parametrize("bad", [2, 5, -1])
+def test_label_outside_the_classes_is_dimension_error(entry, bad):
+    net = build_network("mlp-tiny", (8,), 2, MODE_LEARNABLE, 2, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, (4, 8)), np.array([0, 1, bad, 1])
+    call = {"evaluate_dense": lambda: evaluate_dense(net, x, y),
+            "evaluate_event_driven": lambda: evaluate_event_driven(fold_alpha(net), x, y),
+            "train": lambda: train(net, (x, y), TrainConfig(epochs=1, seed=0)),
+            "gradient_check": lambda: gradient_check(net, x, y)}[entry]
+    with pytest.raises(DimensionError, match=rf"labels \[{bad}\] outside \[0, 2\)"):
         call()

@@ -211,7 +211,46 @@ class TestConv2d:
             conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 3, 3)), 0, 0)
 
 
+def conv2d_grads_oracle(x, kern, g, stride, padding):
+    """Input and kernel gradients of conv2d from its definition: every output
+    position (i, j) meets padded input position (i*stride + ky, j*stride + kx)
+    through tap (ky, kx), for every sample, input and output channel."""
+    k = kern.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp, gk = np.zeros_like(xp), np.zeros_like(kern)
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
+            for ky in range(k):
+                for kx in range(k):
+                    y, xx = i * stride + ky, j * stride + kx
+                    gxp[:, :, y, xx] += g[:, :, i, j] @ kern[:, :, ky, kx]
+                    gk[:, :, ky, kx] += g[:, :, i, j].T @ xp[:, :, y, xx]
+    return gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]], gk
+
+
 class TestConv2dGradients:
+    @given(batch=st.integers(1, 4), c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+           h=st.integers(1, 7), w=st.integers(1, 7), k=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_gradients_match_loop_oracle(self, batch, c_in, c_out, h, w, k, stride, padding,
+                                         seed):
+        # Within 1e-12 of each element's sum of |terms|: the gradients have
+        # no ordering contract, so cancellation may leave any relative error
+        # on an element near zero.
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (batch, c_in, h, w))
+        kern = rng.uniform(-1, 1, (c_out, c_in, k, k))
+        g = rng.uniform(-1, 1, conv2d(x, kern, stride, padding).shape)
+        gx = conv2d_input_grad(g, kern, stride, padding, (h, w))
+        gk = conv2d_kernel_grad(x, g, stride, padding, k)
+        want_x, want_k = conv2d_grads_oracle(x, kern, g, stride, padding)
+        scale_x, scale_k = conv2d_grads_oracle(np.abs(x), np.abs(kern), np.abs(g), stride,
+                                               padding)
+        assert gx.shape == x.shape and gk.shape == kern.shape
+        assert np.all(np.abs(gx - want_x) <= 1e-12 * scale_x)
+        assert np.all(np.abs(gk - want_k) <= 1e-12 * scale_k)
+
     def test_gradients_are_adjoint_to_the_forward(self):
         # <conv2d(x, K), g> = <x, input_grad(g)> = <K, kernel_grad(x, g)>
         rng = np.random.default_rng(17)

@@ -1,12 +1,12 @@
 """In-process A/B timing of the fixed-order kernels against another checkout.
 
 Loads this tree's engine and the one under DIR/src side by side in one
-process, under distinct package names, and times `matmul`, `conv2d` and
-`addition_only_forward` (public API on both sides) at the shapes the
-shipped recipes run: a training batch of 64, an eval batch of 256 and one
-sample (the event path). Every shape is timed in interleaved rounds, the
-side that runs first alternating from round to round, so that a drift of the
-host's speed hits both sides alike.
+process, under distinct package names, and times `matmul`, `conv2d`,
+`addition_only_forward` and the two conv gradients (public API on both
+sides) at the shapes the shipped recipes run: a training batch of 64, an
+eval batch of 256 and one sample (the event path). Every shape is timed in
+interleaved rounds, the side that runs first alternating from round to
+round, so that a drift of the host's speed hits both sides alike.
 
 From the repository root, with DIR a checkout of the parent commit (made with
 `git archive` or `git clone`):
@@ -75,7 +75,9 @@ def cases(rng):
     convnet-bars: conv 1->8 (3x3, stride 1, pad 1) on 8x8, conv 8->16
     (stride 2, pad 1), head 256->4. rings-tiny: 8-16-16-16-2. infer-wide:
     a 128x128 binarized layer. Spiking inputs fire at about the trained
-    recipes' rate.
+    recipes' rate. The conv gradients run at convnet-bars' training batch of
+    64: the kernel gradient of both convs, the input gradient of the second
+    (the encoder's input needs none).
     """
     out = []
     k1 = rng.uniform(-1, 1, (8, 1, 3, 3))
@@ -102,6 +104,16 @@ def cases(rng):
                                        _spikes(rng, (8, 8, 8), 0.6), stride=2, padding=1)),
         ("event dense 16->16", _event(sign[:16, :16], _spikes(rng, 16, 0.6))),
         ("event dense 128->128", _event(sign, _spikes(rng, 128, 0.5))),
+    ]
+    x1, x2 = rng.uniform(0, 1, (64, 1, 8, 8)), _spikes(rng, (64, 8, 8, 8), 0.6)
+    g1, g2 = rng.uniform(-1, 1, (64, 8, 8, 8)), rng.uniform(-1, 1, (64, 16, 4, 4))
+    out += [
+        ("kernel_grad 1->8 B=64",
+         lambda e: lambda: e.numerics.conv2d_kernel_grad(x1, g1, 1, 1, 3)),
+        ("kernel_grad 8->16 s2 B=64",
+         lambda e: lambda: e.numerics.conv2d_kernel_grad(x2, g2, 2, 1, 3)),
+        ("input_grad 8->16 s2 B=64",
+         lambda e: lambda: e.numerics.conv2d_input_grad(g2, k2, 2, 1, (8, 8))),
     ]
     return out
 
