@@ -9,7 +9,7 @@ from .datasets import Dataset, load_dataset
 from .errors import (DimensionError, EngineError, ModeError, ParseError,
                      StateError, TrainingError)
 from .events import (EnergyReport, EventList, OpCounter, SparsityMeter,
-                     addition_only_forward, count_flops, count_sops,
+                     addition_only_forward, count_flops,
                      estimate_energy, evaluate_dense, evaluate_event_driven,
                      event_forward, events_from_spikes, layer_additions)
 from .layers import (BinaryLayer, alpha_grad, binarize_weights, clip_latent,

@@ -106,8 +106,9 @@ def _run_eval(args, with_accuracy: bool) -> int:
         net.timesteps = args.timesteps
     if net.inference_form:
         acc, report, counter = evaluate_event_driven(net, data.test_x, data.test_y)
-        print(f"kernel audit: weight-activation multiplications = "
-              f"{counter.weight_activation_mults}, accumulations = {counter.accumulations}")
+        if any(layer.binarize for layer in net.layers[1:-1]):  # the kernel ran
+            print(f"kernel audit: weight-activation multiplications = "
+                  f"{counter.weight_activation_mults}, accumulations = {counter.accumulations}")
     else:
         print("warning: trained-form checkpoint, using the dense path "
               "(run `reparam` for addition-only inference)", file=sys.stderr)

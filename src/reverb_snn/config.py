@@ -7,13 +7,14 @@ learning rate 0.1 with cosine decay to zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ParseError
 from .network import ARCHITECTURES, MODES
+from .neuron import NeuronParams
+from .training import TrainConfig
 
 
 def _parse_bool(s: str) -> bool:
@@ -40,18 +41,19 @@ class RunConfig:
     affine: bool = False
 
     def __post_init__(self):
-        # Comparisons with NaN are false, so NaN fails every range rule.
         rules = (("mode", self.mode in MODES, f"one of {MODES}"),
                  ("architecture", self.architecture in ARCHITECTURES, f"one of {ARCHITECTURES}"),
-                 ("tau", 0.0 <= self.tau <= 1.0, "in [0, 1]"),
-                 ("v_th", math.isfinite(self.v_th), "finite"),
-                 ("lr0", 0.0 <= self.lr0 < math.inf, "finite and >= 0"),
-                 ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
                  ("timesteps", self.timesteps >= 1, ">= 1"), ("batch", self.batch >= 1, ">= 1"),
                  ("epochs", self.epochs >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"))
         for name, ok, rule in rules:
             if not ok:
                 raise ParseError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        # The classes that own tau, v_th, lr0 and momentum check them and name the key.
+        try:
+            NeuronParams(tau=self.tau, v_th=self.v_th)
+            TrainConfig(lr0=self.lr0, momentum=self.momentum)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
 
 _PARSERS = {k: _parse_bool if t is bool else t for k, t in get_type_hints(RunConfig).items()}

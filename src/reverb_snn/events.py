@@ -14,28 +14,27 @@ dense forward pass, so the two paths agree bitwise by construction.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,
-dense or conv. Binarized (middle) layers cost one SOP per accumulate. Over a
-dataset a dense layer's count equals s * T * A, with s the mean input
-sparsity and A its MAC count. A conv layer's does not: s * T * A also
-charges the taps that land on zero padding, and weighs every input alike
-though stride and borders give inputs different numbers of taps. The
-real-weight encoder and classifier cost one FLOP per MAC, charged once per
-timestep. Energy uses 12.5 pJ per FLOP and 77 fJ per SOP.
-Dense and event evaluation share one loop (`_evaluate`) and differ only in
-how a batch's logits are computed and where the SOP count comes from.
+dense or conv. A middle layer takes spikes, binarized or not, so each nonzero
+input costs one SOP per output it reaches (its fan-out, see `_meter`): the
+accumulations of the addition-only kernel exactly. The real-weight encoder
+and classifier cost one FLOP per MAC, charged once per timestep. Energy uses
+12.5 pJ per FLOP and 77 fJ per SOP. Dense and event evaluation share one loop
+(`_evaluate`) and its SOP count, and differ only in how a batch's logits are
+computed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ModeError, StateError
 from .layers import CONV, DENSE, BinaryLayer
-from .network import Network
-from .numerics import _accumulate, _conv_terms, as_f64, conv2d, matmul
+from .network import Network, _output_shape
+from .numerics import _accumulate, _conv_terms, _windows, as_f64, conv2d, matmul
 from .training import _check_batch, _samples_and_labels, _unroll, aggregate_output, forward_pass
 
 FLOP_JOULES = 12.5e-12
@@ -130,16 +129,26 @@ class SparsityMeter:
 
     Sparsity of layer l is (nonzero input spikes) / (input neuron-timestep
     opportunities); the network mean weights each layer by its addition
-    count A.
+    count A. `sops` sums each nonzero input's fan-out (see `_meter`).
     """
 
     nonzero: dict = field(default_factory=dict)
     total: dict = field(default_factory=dict)
+    sops: int = field(default=0, init=False)
+    fan_out: dict = field(default_factory=dict, init=False, repr=False)
 
     def record(self, layer_id: int, spikes_in: np.ndarray) -> None:
-        flat = np.asarray(spikes_in).reshape(-1)
-        self.nonzero[layer_id] = self.nonzero.get(layer_id, 0) + int(np.count_nonzero(flat))
-        self.total[layer_id] = self.total.get(layer_id, 0) + flat.size
+        x = np.asarray(spikes_in)
+        fan_out = self.fan_out.get(layer_id, 0)
+        if isinstance(fan_out, np.ndarray):  # per (H, W) position, over batch and channels
+            counts = (x != 0).reshape(-1, fan_out.size).sum(axis=0)
+            nonzero = int(counts.sum())
+            self.sops += int(np.vdot(counts, fan_out))
+        else:
+            nonzero = int(np.count_nonzero(x))
+            self.sops += nonzero * fan_out
+        self.nonzero[layer_id] = self.nonzero.get(layer_id, 0) + nonzero
+        self.total[layer_id] = self.total.get(layer_id, 0) + x.size
 
     def per_layer(self) -> dict[int, float]:
         if not self.total:
@@ -172,11 +181,6 @@ def count_flops(net: Network) -> int:
     return (macs[0] + macs[-1]) * net.timesteps
 
 
-def count_sops(net: Network, sparsity: float) -> float:
-    """s * T * A over the middle (addition-only) layers."""
-    return sparsity * net.timesteps * sum(layer_additions(net).values())
-
-
 @dataclass
 class EnergyReport:
     flops: float
@@ -187,14 +191,8 @@ class EnergyReport:
     energy_joules: float
 
     def as_dict(self) -> dict:
-        return {
-            "flops": self.flops,
-            "sops": self.sops,
-            "sparsity": self.sparsity,
-            "sparsity_per_layer": {str(k): v for k, v in self.sparsity_per_layer.items()},
-            "timesteps": self.timesteps,
-            "energy_joules": self.energy_joules,
-        }
+        per_layer = {str(k): v for k, v in self.sparsity_per_layer.items()}
+        return dict(asdict(self), sparsity_per_layer=per_layer)
 
 
 def estimate_energy(flops: float, sops: float, sparsity: float = 0.0,
@@ -213,6 +211,23 @@ def estimate_energy(flops: float, sops: float, sparsity: float = 0.0,
     )
 
 
+def _meter(net: Network) -> SparsityMeter:
+    """A SparsityMeter that knows each middle layer's fan-out: a dense layer's
+    output width, or a conv layer's C_out times the taps that meet each (H, W)
+    input position (`numerics._windows`; none on zero padding)."""
+    meter = SparsityMeter()
+    shapes = list(itertools.accumulate(net.layers, _output_shape, initial=net.input_shape))
+    for l, layer in enumerate(net.layers[1:-1], 1):
+        meter.fan_out[l] = layer.out_channels
+        if layer.kind == CONV:
+            (h, w), p = shapes[l][1:], layer.padding
+            taps = np.zeros((1, 1, h + 2 * p, w + 2 * p), dtype=np.int64)
+            rows, offsets = _windows(taps, layer.w_latent.shape[2], layer.stride, shapes[l + 1][1:])
+            np.add.at(rows, offsets, 1)
+            meter.fan_out[l] *= taps[0, 0, p : p + h, p : p + w].ravel()
+    return meter
+
+
 def _record_sparsity(meter: SparsityMeter, inputs: list) -> None:
     """Record the middle layers' inputs of a ForwardCache.inputs list."""
     for step in inputs:
@@ -228,8 +243,8 @@ def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None
     Returns the per-timestep outputs of the last layer. The encoder and
     classifier keep their real weights and run through the dense kernels;
     middle layers of a vanilla network (never binarized) do too, but their
-    input sparsity is still recorded since binary spikes make them
-    addition-only as well.
+    inputs are still recorded, sparsity and SOPs, since binary spikes make
+    them addition-only as well.
     """
     batch = as_f64(sample)[None]
     _check_batch(net, batch)
@@ -250,14 +265,14 @@ def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None
     return [o[0] for o in outputs]
 
 
-def _evaluate(net: Network, x, y, batch_size: int, logits, sops):
+def _evaluate(net: Network, x, y, batch_size: int, logits):
     """Top-1 accuracy and a per-image EnergyReport. `logits(xb, meter)` gives a
     batch's timestep-averaged outputs and records its middle layers' inputs in
-    `meter`; `sops(sparsity)` gives the SOPs per sample."""
+    `meter`, which counts their SOPs."""
     x, y = _samples_and_labels(net, x, y)
     if not len(x):
         raise StateError("no samples to evaluate")
-    meter = SparsityMeter()
+    meter = _meter(net)
     correct = 0
     for start in range(0, len(x), batch_size):
         o = logits(x[start : start + batch_size], meter)
@@ -265,22 +280,15 @@ def _evaluate(net: Network, x, y, batch_size: int, logits, sops):
     # A network with no middle layer records nothing: it has no SOP layer.
     additions = layer_additions(net)
     sparsity = meter.mean(additions) if additions else 0.0
-    report = estimate_energy(
-        flops=count_flops(net),
-        sops=sops(sparsity),
-        sparsity=sparsity,
-        sparsity_per_layer=meter.per_layer() if additions else {},
-        timesteps=net.timesteps,
-    )
+    report = estimate_energy(count_flops(net), meter.sops / len(x), sparsity,
+                             meter.per_layer() if additions else {}, net.timesteps)
     return correct / len(x), report
 
 
 def evaluate_event_driven(net: Network, x, y):
-    """Top-1 accuracy plus a measured per-image EnergyReport over a test set.
-
-    SOPs are the accumulations the kernel actually performed; FLOPs are the
-    encoder/classifier MAC count charged per timestep.
-    """
+    """Top-1 accuracy plus a measured per-image EnergyReport over a test set,
+    and the addition-only kernel's OpCounter. On binarized middle layers the
+    SOPs equal the accumulations the kernel performed."""
     if not net.inference_form:
         raise ModeError("event-driven evaluation requires an inference-form network")
     counter = OpCounter()
@@ -288,19 +296,17 @@ def evaluate_event_driven(net: Network, x, y):
     def logits(xb, meter):
         return aggregate_output(event_forward(net, xb[0], counter=counter, meter=meter))[None]
 
-    acc, report = _evaluate(net, x, y, 1, logits,
-                            lambda sparsity: counter.accumulations / len(x))
+    acc, report = _evaluate(net, x, y, 1, logits)
     return acc, report, counter
 
 
 def evaluate_dense(net: Network, x, y):
-    """Dense-path evaluation, in batches of 256 samples, for trained-form
-    networks: accuracy plus an EnergyReport with SOPs estimated as s * T * A
-    from measured sparsity."""
+    """Dense-path evaluation, in batches of 256 samples, of either form:
+    accuracy plus the same EnergyReport as `evaluate_event_driven`."""
 
     def logits(xb, meter):
         outputs, cache = forward_pass(net, xb)
         _record_sparsity(meter, cache.inputs)
         return aggregate_output(outputs)
 
-    return _evaluate(net, x, y, 256, logits, lambda sparsity: count_sops(net, sparsity))
+    return _evaluate(net, x, y, 256, logits)

@@ -56,8 +56,8 @@ class NeuronParams:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        if np.ndim(self.v_th) != 0:
-            raise ValueError(f"v_th must be a scalar, got shape {np.shape(self.v_th)}")
+        if np.ndim(self.v_th) != 0 or not np.isfinite(self.v_th):
+            raise ValueError(f"v_th must be a finite scalar, got {self.v_th!r}")
         if self.mode is FireMode.SCALED_REAL:
             if self.scale is None:
                 raise ValueError("SCALED_REAL mode requires a scale vector")

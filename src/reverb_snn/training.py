@@ -36,10 +36,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 < 0:
-            raise ValueError("lr0 must be non-negative")
+        if not (np.isfinite(self.lr0) and self.lr0 >= 0):
+            raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0!r}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
 
 @dataclass

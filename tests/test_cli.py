@@ -98,7 +98,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value", [
         ("tau", "2"), ("tau", "-0.25"), ("tau", "nan"), ("v_th", "nan"), ("v_th", "inf"),
-        ("lr0", "-1"), ("lr0", "inf"), ("momentum", "1"), ("momentum", "-0.1"),
+        ("lr0", "-1"), ("lr0", "inf"), ("lr0", "nan"), ("momentum", "1"), ("momentum", "-0.1"),
         ("momentum", "nan"), ("timesteps", "0"), ("batch", "0"), ("epochs", "-1"),
         ("seed", "-1"),
     ])
@@ -292,6 +292,18 @@ class TestEvalAndEnergy:
             report = json.loads(printed.split("energy-report: ")[1])
             assert report["sops"] == 0 and report["sparsity"] == 0.0
             assert report["sparsity_per_layer"] == {}
+
+    def test_folded_vanilla_checkpoint_counts_sops_without_audit_line(self, tmp_path, capsys):
+        # Binary spikes through real weights: the middle layer costs SOPs,
+        # but the addition-only kernel never ran, so there is nothing to audit.
+        net = build_network("mlp-tiny", (8,), 2, "vanilla", 2, seed=3)
+        out = tmp_path / "folded.rvrb"
+        save_checkpoint(fold_alpha(net), out)
+        assert main(["eval", "--checkpoint", str(out), "--dataset", "rings"]) == 0
+        printed = capsys.readouterr().out
+        assert "kernel audit" not in printed
+        report = json.loads(printed.split("energy-report: ")[1])
+        assert report["sops"] > 0 and report["sparsity"] > 0
 
     def test_dataset_shape_mismatch_exit_code(self, trained, capsys):
         _, out = trained

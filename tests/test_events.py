@@ -11,12 +11,12 @@ from reverb_snn import numerics
 
 from reverb_snn.errors import DimensionError, ModeError, StateError
 from reverb_snn.events import (EventList, OpCounter, SparsityMeter,
-                               addition_only_forward, count_flops, count_sops,
+                               addition_only_forward, count_flops,
                                estimate_energy, evaluate_dense, evaluate_event_driven,
                                event_forward, events_from_spikes,
                                layer_additions)
 from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
-from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, build_convnet, build_mlp
+from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, build_convnet, build_mlp
 from reverb_snn.numerics import conv2d, matmul
 from reverb_snn.reparam import fold_alpha
 from reverb_snn.training import forward_pass
@@ -321,12 +321,59 @@ class TestOperationCounts:
         assert count_flops(build_mlp((10,), 3, MODE_REVERB, timesteps=5, seed=0,
                                      hidden=16)) == per_step * 5
 
-    def test_sops_closed_form_and_zero_sparsity(self):
-        net = build_mlp((10,), 3, MODE_REVERB, timesteps=2, seed=0, hidden=16)
-        assert count_sops(net, 0.0) == 0.0
-        assert count_sops(net, 0.5) == 0.5 * 2 * 256
-        assert count_sops(build_mlp((10,), 3, MODE_REVERB, timesteps=3, seed=0, hidden=16),
-                          1.0) == 3 * 256
+
+def _tiny_net(mode, conv, stride, padding, seed):
+    """A folded tiny MLP, or a tiny convnet whose middle conv has the given
+    stride and padding, with random amplitudes on its binarized layers."""
+    rng = np.random.default_rng(seed)
+    if not conv:
+        net = build_mlp((5,), 2, mode, timesteps=2, seed=seed, hidden=6, middle_layers=2)
+    else:
+        net = build_convnet((1, 6, 6), 2, mode, timesteps=2, seed=seed, channels=(2, 3))
+        net.layers[1].stride, net.layers[1].padding = stride, padding
+        fan_in = 3 * numerics.conv_output_size(6, 3, stride, padding) ** 2
+        net.layers[2] = BinaryLayer(w_latent=rng.uniform(-1, 1, (2, fan_in)),
+                                    alpha=np.ones(2), binarize=False, kind=DENSE)
+    for layer in net.layers:
+        if layer.learn_alpha:
+            layer.alpha[:] = rng.uniform(0.3, 1.5, layer.alpha.shape)
+    return fold_alpha(net)
+
+
+def _sop_oracle(net, x):
+    """SOPs per sample by loops: every (output, tap or input) pair of a middle
+    layer whose input is nonzero, over the inputs `forward_pass` feeds it."""
+    _, cache = forward_pass(net, x)
+    terms = 0
+    for step in cache.inputs:
+        for l in range(1, len(net.layers) - 1):
+            layer = net.layers[l]
+            for spikes in step[l]:
+                if layer.kind == DENSE:
+                    terms += _dense_event_oracle(layer.w_latent, spikes)[1]
+                else:
+                    terms += _conv_event_oracle(layer.w_latent, spikes, layer.stride,
+                                                layer.padding)[1]
+    return terms / len(x)
+
+
+class TestOneSopCount:
+    """Dense and event eval report one SOP count: each nonzero middle-layer
+    input costs one SOP per output it reaches."""
+
+    @given(mode=st.sampled_from(MODES), conv=st.booleans(), stride=st.integers(1, 2),
+           padding=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_both_paths_equal_the_loop_oracle(self, mode, conv, stride, padding, seed):
+        net = _tiny_net(mode, conv, stride, padding, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, (4,) + net.input_shape)
+        y = rng.integers(0, 2, 4)
+        _, dense = evaluate_dense(net, x, y)
+        _, event, counter = evaluate_event_driven(net, x, y)
+        assert dense.sops == event.sops == _sop_oracle(net, x)
+        assert dense.sparsity_per_layer == event.sparsity_per_layer
+        if mode != "vanilla":
+            assert event.sops == counter.accumulations / len(x)
 
 
 class TestEstimateEnergy:
@@ -411,7 +458,7 @@ class TestEventForward:
 
     def test_dense_only_network_event_sops_equal_dense_estimate(self):
         # For dense layers the accumulations the event kernel performs are
-        # s * T * A; conv layers differ (zero padding, uneven tap coverage).
+        # s * T * A, and both paths count them the same way.
         rng = np.random.default_rng(12)
         net = fold_alpha(build_mlp((8,), 2, MODE_LEARNABLE, timesteps=3, seed=12,
                                    hidden=16, middle_layers=2))
@@ -419,7 +466,7 @@ class TestEventForward:
         _, event, counter = evaluate_event_driven(net, x, y)
         _, dense = evaluate_dense(net, x, y)
         assert counter.accumulations > 0
-        assert event.sops == pytest.approx(dense.sops, rel=1e-12)
+        assert event.sops == dense.sops == counter.accumulations / len(x)
 
     @pytest.mark.parametrize("middle_layers", [0, 1])
     def test_empty_sample_set_is_state_error(self, middle_layers):

@@ -198,6 +198,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             NeuronParams(tau=-0.1)
 
+    @pytest.mark.parametrize("v_th", [np.inf, -np.inf, np.nan])
+    def test_non_finite_threshold_rejected(self, v_th):
+        with pytest.raises(ValueError, match="v_th must be a finite scalar"):
+            NeuronParams(v_th=v_th)
+
     def test_vector_threshold_rejected(self):
         # v_th is the scalar base threshold; a folded layer's per-channel
         # gate is derived from its scale, never stored.

@@ -307,6 +307,15 @@ class TestCosineLr:
             cosine_lr(5, 4, 0.1)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"lr0": -0.1}, "lr0"), ({"lr0": np.inf}, "lr0"), ({"lr0": np.nan}, "lr0"),
+    ({"momentum": 1.0}, "momentum"), ({"momentum": np.nan}, "momentum"),
+])
+def test_train_config_rejects_out_of_range(kwargs, key):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        TrainConfig(**kwargs)
+
+
 class TestTrain:
     def test_zero_lr_leaves_network_unchanged(self):
         ds = two_gaussians(n_train=64, n_test=16, seed=0)

@@ -24,7 +24,8 @@ commit, exported with `git archive` or cloned), from the repository root:
 
 This runs the fingerprint once with PYTHONPATH=DIR/src and once with this
 tree's src/, each in its own process, and exits 0 when the two outputs are
-byte-identical. Otherwise it names the first differing key and exits 1.
+byte-identical. Otherwise it prints every differing key with DIR's value
+and this tree's, and exits 1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 
 RECIPES = ("configs/rings-tiny.cfg", "configs/convnet-bars.cfg")
@@ -106,10 +106,16 @@ def _against(other: Path, root: Path, seed: int) -> int:
     if theirs == ours:
         print(f"fingerprints equal at seed {seed}")
         return 0
-    pairs = zip_longest(_leaves(json.loads(theirs)), _leaves(json.loads(ours)),
-                        fillvalue=(None, None))
-    key = next((a[0] or b[0] for a, b in pairs if a != b), "<formatting>")
-    print(f"fingerprints differ at seed {seed}: first differing key {key}")
+    theirs, ours = dict(_leaves(json.loads(theirs))), dict(_leaves(json.loads(ours)))
+
+    def show(leaves, key):
+        return repr(leaves[key]) if key in leaves else "<missing>"
+
+    keys = [k for k in {**theirs, **ours} if show(theirs, k) != show(ours, k)]
+    print(f"fingerprints differ at seed {seed}: {len(keys) or 'no'} differing keys"
+          + ("" if keys else " (formatting only)"))
+    for key in keys:
+        print(f"  {key}: {show(theirs, key)} -> {show(ours, key)}")
     return 1
 
 
