@@ -7,9 +7,9 @@ consumes events by pure accumulation: weight +1 adds the spike value, weight
 (`numerics._accumulate`) with a sign-select term in place of the multiply:
 a dense layer has one term per event, a conv layer scatters its events into
 a zero map and has one term per kernel tap, as `conv2d` does. The reduction
-selects a block of terms with one call and adds them one by one in event or
-tap order; one sample's output is small, so a block usually holds every term
-of the layer. Inference (`event_forward`) runs the same LIF loop as the
+selects a block of terms with one call and adds them in event or tap order;
+one sample's output is small, so a block usually holds every term of the
+layer and is added with one np.bincount call. Inference (`event_forward`) runs the same LIF loop as the
 dense forward pass, so the two paths agree bitwise by construction.
 
 Operation counts follow the synaptic-operation model. A layer's

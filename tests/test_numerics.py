@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from reverb_snn import numerics
 from reverb_snn.errors import DimensionError
 from reverb_snn.events import OpCounter, addition_only_forward, events_from_spikes
-from reverb_snn.layers import CONV, BinaryLayer, binarize_weights
+from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
 from reverb_snn.numerics import (conv2d, conv2d_input_grad, conv2d_kernel_grad,
                                  conv_output_size, matmul)
 
@@ -266,6 +266,197 @@ class TestConv2dGradients:
                 assert gx.shape == x.shape and gk.shape == kern.shape
                 assert np.sum(x * gx) == pytest.approx(forward, rel=1e-12)
                 assert np.sum(kern * gk) == pytest.approx(forward, rel=1e-12)
+
+
+def term_loop_matmul(a, b):
+    """a @ b with its terms added one at a time into +0.0: the outer product
+    of column kk of a and row kk of b, for ascending kk."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for kk in range(a.shape[1]):
+        out += a[:, kk, None] * b[kk]
+    return out
+
+
+def term_loop_conv(x, kern, stride, padding):
+    """conv2d of the (B, C_in, H, W) batch `x` with its terms added one at a
+    time into +0.0: each tap's strided patch times the tap's weights, in
+    ascending (c_in, ky, kx) order."""
+    c_out, c_in, k, _ = kern.shape
+    ho, wo = (conv_output_size(e, k, stride, padding) for e in x.shape[2:])
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((len(x), c_out, ho, wo))
+    for c in range(c_in):
+        for ky in range(k):
+            for kx in range(k):
+                patch = xp[:, c, ky : ky + stride * (ho - 1) + 1 : stride,
+                           kx : kx + stride * (wo - 1) + 1 : stride]
+                out += patch[:, None] * kern[:, c, ky, kx, None, None]
+    return out
+
+
+def _sparse(rng, shape, density, zero):
+    """Uniform(-1, 1) entries, each kept with probability `density` and
+    otherwise `zero` (+0.0 or -0.0)."""
+    return np.where(rng.random(shape) < density, rng.uniform(-1, 1, shape), zero)
+
+
+def _sign_layer(w, **conv):
+    return BinaryLayer(w_latent=w, alpha=np.ones(w.shape[0]), binarize=True,
+                       kind=CONV if conv else DENSE, **conv)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# Output sizes around numerics._BINCOUNT, the cut between the one-call path
+# and the per-term loop of _accumulate.
+WIDTHS = (1, 2, 63, 64, 85, 86, 128, 255, 256, 257, 300)
+ZEROS = st.sampled_from([0.0, -0.0])
+DENSITIES = st.sampled_from([0.0, 0.4, 1.0])
+
+
+class TestOneCallPath:
+    """`_accumulate` adds each block into an output of at most
+    numerics._BINCOUNT elements with one np.bincount, into a larger one term
+    by term; both must give the bits of a term-by-term loop. Blocks of a few
+    terms make a small output carry its sum across many blocks."""
+
+    @given(block=st.sampled_from(BLOCKS), m=st.integers(0, 3), k=st.integers(0, 300),
+           n=st.sampled_from(WIDTHS), density=DENSITIES, zero=ZEROS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_matmul_matches_term_loop(self, block, m, k, n, density, zero, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _sparse(rng, (m, k), density, zero), rng.uniform(-1, 1, (k, n))
+        with mock.patch.object(numerics, "_BLOCK", block):
+            _assert_bitwise(matmul(a, b), term_loop_matmul(a, b))
+
+    @given(block=st.sampled_from(BLOCKS), batch=st.integers(0, 2), c_in=st.integers(1, 3),
+           c_out=st.integers(1, 6), h=st.integers(1, 8), w=st.integers(1, 8),
+           k=st.integers(1, 3), stride=st.integers(1, 3), padding=st.integers(0, 2),
+           density=DENSITIES, zero=ZEROS, seed=st.integers(0, 2**32 - 1))
+    def test_conv2d_matches_term_loop(self, block, batch, c_in, c_out, h, w, k, stride,
+                                      padding, density, zero, seed):
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = np.random.default_rng(seed)
+        x = _sparse(rng, (batch, c_in, h, w), density, zero)
+        kern = rng.uniform(-1, 1, (c_out, c_in, k, k))
+        with mock.patch.object(numerics, "_BLOCK", block):
+            _assert_bitwise(conv2d(x, kern, stride, padding),
+                            term_loop_conv(x, kern, stride, padding))
+
+    @given(block=st.sampled_from(BLOCKS), n_in=st.integers(1, 40), n_out=st.sampled_from(WIDTHS),
+           density=DENSITIES, seed=st.integers(0, 2**32 - 1))
+    def test_event_dense_matches_term_loop(self, block, n_in, n_out, density, seed):
+        # A +/-1 weight makes the product term the sign select exactly.
+        rng = np.random.default_rng(seed)
+        w = binarize_weights(rng.uniform(-1, 1, (n_out, n_in)))
+        spikes = _sparse(rng, n_in, density, 0.0)
+        with mock.patch.object(numerics, "_BLOCK", block):
+            got = addition_only_forward(_sign_layer(w), events_from_spikes(spikes), spikes.shape)
+        _assert_bitwise(got, term_loop_matmul(spikes[None], w.T)[0])
+
+    @given(block=st.sampled_from(BLOCKS), c_in=st.integers(1, 3), c_out=st.integers(1, 16),
+           h=st.integers(1, 8), w=st.integers(1, 8), k=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2), density=DENSITIES,
+           seed=st.integers(0, 2**32 - 1))
+    def test_event_conv_matches_term_loop(self, block, c_in, c_out, h, w, k, stride, padding,
+                                          density, seed):
+        # The silent positions of a patch are +0.0 inputs whose -1 weights
+        # make -0.0 terms.
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = np.random.default_rng(seed)
+        kern = binarize_weights(rng.uniform(-1, 1, (c_out, c_in, k, k)))
+        spikes = _sparse(rng, (c_in, h, w), density, 0.0)
+        layer = _sign_layer(kern, stride=stride, padding=padding)
+        with mock.patch.object(numerics, "_BLOCK", block):
+            got = addition_only_forward(layer, events_from_spikes(spikes), spikes.shape)
+        _assert_bitwise(got, term_loop_conv(spikes[None], kern, stride, padding)[0])
+
+    def test_small_output_carries_its_sum_across_blocks(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(-1, 1, (1, 300)), rng.uniform(-1, 1, (300, 256))
+        assert 256 <= numerics._BINCOUNT and 300 * 256 > numerics._BLOCK
+        _assert_bitwise(matmul(a, b), term_loop_matmul(a, b))
+
+    @pytest.mark.parametrize("size", [4, 256, 257])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_blocks_of_negative_zero_terms_sum_to_positive_zero(self, size, signed):
+        # 300 terms: two blocks of a 256-element output, one of the others.
+        def block(lo, hi):
+            return np.zeros((hi - lo, 1)), -np.ones((hi - lo, size))
+
+        got = numerics._accumulate((size,), 300, block, signed=signed)
+        _assert_bitwise(got, np.zeros(size))
+        _assert_bitwise(matmul(np.full((1, 300), -0.0), np.ones((300, size))),
+                        np.zeros((1, size)))
+
+    def test_empty_output_stays_float64(self):
+        _assert_bitwise(matmul(np.zeros((0, 3)), np.ones((3, 2))), np.zeros((0, 2)))
+        _assert_bitwise(matmul(np.zeros((2, 0)), np.ones((0, 3))), np.zeros((2, 3)))
+        _assert_bitwise(conv2d(np.zeros((0, 1, 4, 4)), np.ones((2, 1, 3, 3)), 1, 1),
+                        np.zeros((0, 2, 4, 4)))
+        _assert_bitwise(numerics._accumulate((0,), 5, lambda lo, hi: (np.ones((hi - lo, 1)),
+                                                                      np.ones((hi - lo, 0)))),
+                        np.zeros(0))
+        _assert_bitwise(conv2d_input_grad(np.zeros((0, 2, 4, 4)), np.ones((2, 1, 3, 3)), 1, 1,
+                                          (4, 4)), np.zeros((0, 1, 4, 4)))
+
+
+def input_grad_row_adds(g, kern, stride, padding, input_hw):
+    """conv2d_input_grad as per-tap row adds: each tap's share added into its
+    tap's row (numerics._windows) of the zeroed, padded gradient, one tap at a
+    time in ascending tap order."""
+    h, w = input_hw
+    c_out, c_in, k, _ = kern.shape
+    gxp = np.zeros((g.shape[0], c_in, h + 2 * padding, w + 2 * padding))
+    rows, offsets = numerics._windows(gxp, k, stride, g.shape[2:])
+    g_t = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+    shares = np.einsum("obhw,ot->tbhw", g_t, kern.reshape(c_out, -1))
+    for offset, share in zip(offsets, shares):
+        rows[offset] += share
+    return gxp[:, :, padding : padding + h, padding : padding + w]
+
+
+class TestInputGradBincount:
+    @given(batch=st.integers(1, 4), c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+           h=st.integers(1, 7), w=st.integers(1, 7), k=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_tap_row_adds(self, batch, c_in, c_out, h, w, k, stride, padding,
+                                      seed):
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = np.random.default_rng(seed)
+        kern = rng.uniform(-1, 1, (c_out, c_in, k, k))
+        out_hw = tuple(conv_output_size(e, k, stride, padding) for e in (h, w))
+        g = rng.uniform(-1, 1, (batch, c_out) + out_hw)
+        _assert_bitwise(conv2d_input_grad(g, kern, stride, padding, (h, w)),
+                        input_grad_row_adds(g, kern, stride, padding, (h, w)))
+
+    def test_results_own_their_memory_and_caches_stay_intact_and_bounded(self):
+        # The cached indices are writeable (np.bincount copies a read-only
+        # one on every call), so check that no call writes them or returns
+        # memory that a later call reuses.
+        rng = np.random.default_rng(8)
+        kern = rng.uniform(-1, 1, (16, 8, 3, 3))
+        g = rng.uniform(-1, 1, (4, 16, 4, 4))
+        first = conv2d_input_grad(g, kern, 2, 1, (8, 8))
+        second = conv2d_input_grad(g, kern, 2, 1, (8, 8))
+        key = ((4, 8, 10, 10), 3, 2, (4, 4))
+        index = numerics._tap_rows_index(*key)
+        assert not np.shares_memory(second, first)
+        assert not np.shares_memory(second, index)
+        a, b = rng.uniform(-1, 1, (1, 72)), rng.uniform(-1, 1, (72, 4))
+        head = matmul(a, b)
+        bins = numerics._bins(72, 4)
+        assert not np.shares_memory(head, bins)
+        assert not np.shares_memory(head, matmul(a, b))
+        first[...], head[...] = np.nan, np.nan
+        _assert_bitwise(conv2d_input_grad(g, kern, 2, 1, (8, 8)), second)
+        np.testing.assert_array_equal(index, numerics._tap_rows_index.__wrapped__(*key))
+        np.testing.assert_array_equal(bins, np.tile(np.arange(4), 72))
+        for cache in (numerics._tap_rows_index, numerics._bins):
+            assert cache.cache_info().maxsize is not None
 
 
 def _block_bytes(out_size: int, count: int) -> int:

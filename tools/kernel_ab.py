@@ -15,17 +15,20 @@ From the repository root, with DIR a checkout of the parent commit (made with
 
 Each shape's outputs must be byte-equal on both sides; the script checks
 that first and exits 1 naming the shape on any difference. It then prints,
-per shape, the median time per call of each side over the rounds, and the
-median and quartiles of the per-round ratio (parent over change, the two
-timed back to back: above 1 means this tree is faster). Running it with DIR
-a second copy of this tree shows how far the ratios stray on that host with
-no change at all.
+per shape, the median time per call of each side over the rounds, with the
+median minor page faults per call of that side next to it (the process's
+own `ru_minflt` around the timed calls: a call that maps fresh memory
+faults), and the median and quartiles of the per-round ratio (parent over
+change, the two timed back to back: above 1 means this tree is faster).
+Running it with DIR a second copy of this tree shows how far the ratios stray
+on that host with no change at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -73,7 +76,8 @@ def cases(rng):
     operands.
 
     convnet-bars: conv 1->8 (3x3, stride 1, pad 1) on 8x8, conv 8->16
-    (stride 2, pad 1), head 256->4. rings-tiny: 8-16-16-16-2. infer-wide:
+    (stride 2, pad 1), head 256->4. rings-tiny: 8-16-16-16-2, hidden layers
+    16->16 and head 16->2. infer-wide:
     a 128x128 binarized layer. Spiking inputs fire at about the trained
     recipes' rate. The conv gradients run at convnet-bars' training batch of
     64: the kernel gradient of both convs, the input gradient of the second
@@ -84,6 +88,7 @@ def cases(rng):
     k2 = rng.uniform(-1, 1, (16, 8, 3, 3))
     head = rng.uniform(-1, 1, (256, 4))
     hidden = rng.uniform(-1, 1, (16, 16))
+    rings_head = rng.uniform(-1, 1, (16, 2))
     for b in (64, 256, 1):
         x1 = rng.uniform(0, 1, (b, 1, 8, 8))
         x2 = _spikes(rng, (b, 8, 8, 8), 0.6)
@@ -94,6 +99,7 @@ def cases(rng):
             (f"conv2d 8->16 s2 B={b}", lambda e, x=x2: lambda: e.conv2d(x, k2, 2, 1)),
             (f"matmul {b}x256 @ 256x4", lambda e, x=xh: lambda: e.matmul(x, head)),
             (f"matmul {b}x16 @ 16x16", lambda e, x=xm: lambda: e.matmul(x, hidden)),
+            (f"matmul {b}x16 @ 16x2", lambda e, x=xm: lambda: e.matmul(x, rings_head)),
         ]
     wide = rng.uniform(-1, 1, (128, 128))
     xw = _spikes(rng, (256, 128), 0.5)
@@ -118,11 +124,17 @@ def cases(rng):
     return out
 
 
-def _per_call(fn, number: int) -> float:
-    t0 = time.perf_counter()
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _per_call(fn, number: int) -> tuple[float, float]:
+    """Seconds and minor page faults per call, over `number` calls."""
+    f0, t0 = _minflt(), time.perf_counter()
     for _ in range(number):
         fn()
-    return (time.perf_counter() - t0) / number
+    t1, f1 = time.perf_counter(), _minflt()
+    return (t1 - t0) / number, (f1 - f0) / number
 
 
 def main(argv=None) -> int:
@@ -146,17 +158,22 @@ def main(argv=None) -> int:
             print(f"outputs differ: {label}")
             return 1
         number = 1
-        while _per_call(fns["change"], number) * number < ROUND_S:
+        while _per_call(fns["change"], number)[0] * number < ROUND_S:
             number *= 2
         times = {"parent": [], "change": []}
+        faults = {"parent": [], "change": []}
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for side in order:
-                times[side].append(_per_call(fns[side], number))
-        pm, cm = statistics.median(times["parent"]), statistics.median(times["change"])
+                seconds, flt = _per_call(fns[side], number)
+                times[side].append(seconds)
+                faults[side].append(flt)
+        pm, cm = (statistics.median(times[side]) for side in ("parent", "change"))
+        pf, cf = (statistics.median(faults[side]) for side in ("parent", "change"))
         q1, ratio, q3 = statistics.quantiles(
             [p / c for p, c in zip(times["parent"], times["change"])], n=4)
-        print(f"{label:<26} parent {pm * 1e6:10.1f} us  change {cm * 1e6:10.1f} us  "
+        print(f"{label:<26} parent {pm * 1e6:10.1f} us {pf:7.1f} flt  "
+              f"change {cm * 1e6:10.1f} us {cf:7.1f} flt  "
               f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
     print(f"all outputs byte-equal over {len(shapes)} shapes")
     return 0
