@@ -3,7 +3,7 @@
 Layout (all multi-byte integers little-endian, reals 64-bit IEEE-754):
 
     magic           4s   "RVRB"
-    version         u32  (currently 1)
+    version         u32  (currently 2)
     form            u8   0 = trained, 1 = inference (amplitude-folded)
     mode            u8   0 = vanilla, 1 = reverb, 2 = reverb-learnable
     timesteps       u32
@@ -22,15 +22,20 @@ Layout (all multi-byte integers little-endian, reals 64-bit IEEE-754):
       alpha         f64 per output channel
       gamma, beta   f64 per output channel (only when has_affine)
       scale         f64 per output channel (only when neuron_mode = scaled)
+    crc32           u32  zlib.crc32 of every byte before it
 
-Round-trips are bitwise lossless: reals are stored raw and inference-form
-binarized weights are exactly +/-1, which the sign bit reproduces.
+A file whose trailer is not the CRC-32 of the rest is a ParseError before any
+field past the version is used; CRC-32 detects every single-bit error and
+every burst of up to 32 bits. Round-trips are bitwise lossless: reals are
+stored raw and inference-form binarized weights are exactly +/-1, which the
+sign bit reproduces.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +46,8 @@ from .network import MODES, Network
 from .neuron import FireMode, NeuronParams
 
 MAGIC = b"RVRB"
-VERSION = 1
+VERSION = 2
+_CRC = struct.Struct("<I")
 
 _KINDS = (DENSE, CONV)
 _FIRE_MODES = (FireMode.BINARY, FireMode.REAL, FireMode.SCALED_REAL)
@@ -84,6 +90,7 @@ def save_checkpoint(net: Network, path) -> None:
             buf += layer.affine_beta.tobytes()
         if nrn.mode is FireMode.SCALED_REAL:
             buf += nrn.scale.tobytes()
+    buf += _CRC.pack(zlib.crc32(buf))
     Path(path).write_bytes(bytes(buf))
 
 
@@ -111,9 +118,10 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Network:
-    r = _Reader(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    r = _Reader(data[: -_CRC.size])
     try:
-        net = _decode(r)
+        net = _decode(r, data[-_CRC.size :])
         if net.layer_output_shapes()[-1:] != [(net.num_classes,)]:  # chain into the head
             raise ValueError(f"num_classes {net.num_classes} is not the head's output count")
     except (ValueError, DimensionError) as exc:  # a decoded value broke an invariant
@@ -121,12 +129,14 @@ def load_checkpoint(path) -> Network:
     return net
 
 
-def _decode(r: _Reader) -> Network:
+def _decode(r: _Reader, crc: bytes) -> Network:
     magic, version, form, mode_id, timesteps, tau, v_th = r.unpack("4sIBBIdd")
     if magic != MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", offset=4)
+    if crc != _CRC.pack(zlib.crc32(r.data)):
+        raise ParseError("checksum mismatch: corrupt checkpoint", offset=len(r.data))
     if mode_id >= len(MODES):
         raise ParseError(f"unknown mode id {mode_id}", offset=9)
     (in_ndim,) = r.unpack("B")

@@ -1,11 +1,12 @@
 """Checkpoint round-trips and the 1-bit packed inference payload."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from reverb_snn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from reverb_snn.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from reverb_snn.errors import ParseError
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, MODE_VANILLA,
                                 Network, build_convnet, build_mlp)
@@ -119,6 +120,46 @@ def test_trailing_garbage_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _reseal(data) -> bytes:
+    """`data` with its CRC-32 trailer recomputed over its edited body, so that
+    the decoder's own rules see the edit."""
+    body = bytes(data[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_trailer_is_crc32_of_the_rest(tmp_path):
+    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    path = tmp_path / "c.rvrb"
+    save_checkpoint(net, path)
+    data = path.read_bytes()
+    assert struct.unpack("<4sI", data[:8]) == (MAGIC, VERSION) and VERSION == 2
+    assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
+
+
+def test_checksum_mismatch_is_parse_error(tmp_path):
+    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    path = tmp_path / "c.rvrb"
+    save_checkpoint(net, path)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x80
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="checksum mismatch") as err:
+        load_checkpoint(path)
+    assert err.value.offset == len(data) - 4
+
+
+def test_version_1_file_is_unsupported(tmp_path):
+    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    path = tmp_path / "v1.rvrb"
+    save_checkpoint(net, path)
+    # A version-1 file: the same fields without the trailer.
+    data = bytearray(path.read_bytes()[:-4])
+    data[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+
 def test_affine_round_trip(tmp_path):
     net = build_mlp((6,), 2, MODE_LEARNABLE, timesteps=2, seed=5, affine=True, hidden=8)
     rng = np.random.default_rng(5)
@@ -168,12 +209,9 @@ TINY = {
 }
 
 
-@pytest.mark.parametrize("arch", TINY)
-@pytest.mark.parametrize("form", ["trained", "folded"])
-def test_every_single_bit_flip_loads_or_raises_engine_error(tmp_path, form, arch):
-    # Corrupt headers, shapes, strides, amplitudes, scales and thresholds must
-    # end in a ParseError, never in another error; a network that loads must
-    # chain and its head must give num_classes outputs.
+def _single_bit_flips(arch, form, tmp_path):
+    """The saved tiny checkpoint of `arch` in `form`, with each of its bits
+    flipped in turn."""
     net = TINY[arch]()
     if form == "folded":
         net = fold_alpha(net)
@@ -181,11 +219,35 @@ def test_every_single_bit_flip_loads_or_raises_engine_error(tmp_path, form, arch
     path = tmp_path / "m.rvrb"
     save_checkpoint(net, path)
     data = path.read_bytes()
-    flipped = tmp_path / "flipped.rvrb"
     for bit in range(8 * len(data)):
         corrupt = bytearray(data)
         corrupt[bit // 8] ^= 1 << (bit % 8)
+        yield corrupt
+
+
+@pytest.mark.parametrize("arch", TINY)
+@pytest.mark.parametrize("form", ["trained", "folded"])
+def test_every_single_bit_flip_raises_parse_error(tmp_path, form, arch):
+    # The CRC-32 trailer catches a flip anywhere, the trailer included; the
+    # magic and version fields are checked first and name themselves.
+    flipped = tmp_path / "flipped.rvrb"
+    for corrupt in _single_bit_flips(arch, form, tmp_path):
         flipped.write_bytes(bytes(corrupt))
+        with pytest.raises(ParseError):
+            load_checkpoint(flipped)
+
+
+@pytest.mark.parametrize("arch", TINY)
+@pytest.mark.parametrize("form", ["trained", "folded"])
+def test_every_resealed_bit_flip_loads_or_raises_parse_error(tmp_path, form, arch):
+    # Behind the trailer, a flip whose CRC is recomputed (a file written
+    # wrong, not damaged later) reaches the decoder: corrupt headers, shapes,
+    # strides, amplitudes, scales and thresholds must end in a ParseError,
+    # never in another error; a network that loads must chain and its head
+    # must give num_classes outputs.
+    flipped = tmp_path / "flipped.rvrb"
+    for corrupt in _single_bit_flips(arch, form, tmp_path):
+        flipped.write_bytes(_reseal(corrupt))
         try:
             with np.errstate(all="ignore"):
                 loaded = load_checkpoint(flipped)
@@ -206,7 +268,7 @@ def test_zero_dim_weights_are_parse_error(tmp_path):
     pos = struct.calcsize("<4sIBBIdd" "B" "I" "II" "5B2I")
     assert data[pos] == 2
     data[pos] = 0
-    path.write_bytes(bytes(data))
+    path.write_bytes(_reseal(data))
     with pytest.raises(ParseError, match="no axes"):
         load_checkpoint(path)
 
