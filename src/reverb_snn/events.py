@@ -9,8 +9,9 @@ a dense layer has one term per event, a conv layer scatters its events into
 a zero map and has one term per kernel tap, as `conv2d` does. The reduction
 selects a block of terms with one call and adds them in event or tap order;
 one sample's output is small, so a block usually holds every term of the
-layer and is added with one np.bincount call. Inference (`event_forward`) runs the same LIF loop as the
-dense forward pass, so the two paths agree bitwise by construction.
+layer and is added with one np.bincount call. Inference (`event_forward`)
+runs the same LIF loop as the dense forward pass, so the two paths agree
+bitwise by construction.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,

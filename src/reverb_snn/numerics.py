@@ -43,10 +43,10 @@ def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-# The cached np.bincount indices below stay writeable, though nothing may
-# write them: np.bincount copies a read-only index (or weights) on every call,
-# which cost a 512 KiB copy and up to 224 minor faults per call of the
-# training batch's classifier head.
+# The cached np.bincount indices (`_bins`, `_tap_rows_index`) stay writeable,
+# though nothing may write them: np.bincount copies a read-only index or
+# weights array on every call, which cost a 512 KiB copy and up to 224 minor
+# faults per call of the training batch's classifier head.
 @functools.lru_cache(maxsize=64)
 def _bins(count: int, size: int) -> np.ndarray:
     """Output element 0..size-1 of each of `count` terms, term-major."""

@@ -234,10 +234,13 @@ BLOCKS = (1, 2, 3, 7, numerics._BLOCK)
 
 class TestEventKernelBlocks:
     """Both event branches against sign-select loop oracles under every block
-    size: the same bits and the same accumulation count."""
+    size: the same bits and the same accumulation count. Outputs range over
+    both sides of numerics._BINCOUNT (256 elements), the largest output whose
+    blocks are added with one np.bincount call."""
 
     @given(block=st.sampled_from(BLOCKS), seed=st.integers(0, 2**32 - 1),
-           n_out=st.integers(1, 12), n_in=st.integers(1, 40), density=st.floats(0.0, 1.0))
+           n_out=st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257, 300])),
+           n_in=st.integers(1, 40), density=st.floats(0.0, 1.0))
     def test_dense(self, block, seed, n_out, n_in, density):
         rng = np.random.default_rng(seed)
         layer = sign_dense(rng, n_out, n_in)
@@ -250,7 +253,7 @@ class TestEventKernelBlocks:
         assert counter.accumulations == terms
 
     @given(block=st.sampled_from(BLOCKS), seed=st.integers(0, 2**32 - 1),
-           c_in=st.integers(1, 3), c_out=st.integers(1, 4), k=st.integers(1, 3),
+           c_in=st.integers(1, 3), c_out=st.integers(1, 16), k=st.integers(1, 3),
            h=st.integers(1, 8), w=st.integers(1, 8), stride=st.integers(1, 3),
            padding=st.integers(0, 2), density=st.floats(0.0, 1.0))
     def test_conv(self, block, seed, c_in, c_out, k, h, w, stride, padding, density):

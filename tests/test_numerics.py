@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from reverb_snn import numerics
 from reverb_snn.errors import DimensionError
 from reverb_snn.events import OpCounter, addition_only_forward, events_from_spikes
-from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
+from reverb_snn.layers import CONV, BinaryLayer, binarize_weights
 from reverb_snn.numerics import (conv2d, conv2d_input_grad, conv2d_kernel_grad,
                                  conv_output_size, matmul)
 
@@ -300,11 +300,6 @@ def _sparse(rng, shape, density, zero):
     return np.where(rng.random(shape) < density, rng.uniform(-1, 1, shape), zero)
 
 
-def _sign_layer(w, **conv):
-    return BinaryLayer(w_latent=w, alpha=np.ones(w.shape[0]), binarize=True,
-                       kind=CONV if conv else DENSE, **conv)
-
-
 def _assert_bitwise(got, want):
     assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -321,7 +316,8 @@ class TestOneCallPath:
     """`_accumulate` adds each block into an output of at most
     numerics._BINCOUNT elements with one np.bincount, into a larger one term
     by term; both must give the bits of a term-by-term loop. Blocks of a few
-    terms make a small output carry its sum across many blocks."""
+    terms make a small output carry its sum across many blocks. The event
+    branches cross the cut in tests/test_events.py::TestEventKernelBlocks."""
 
     @given(block=st.sampled_from(BLOCKS), m=st.integers(0, 3), k=st.integers(0, 300),
            n=st.sampled_from(WIDTHS), density=DENSITIES, zero=ZEROS,
@@ -345,34 +341,6 @@ class TestOneCallPath:
         with mock.patch.object(numerics, "_BLOCK", block):
             _assert_bitwise(conv2d(x, kern, stride, padding),
                             term_loop_conv(x, kern, stride, padding))
-
-    @given(block=st.sampled_from(BLOCKS), n_in=st.integers(1, 40), n_out=st.sampled_from(WIDTHS),
-           density=DENSITIES, seed=st.integers(0, 2**32 - 1))
-    def test_event_dense_matches_term_loop(self, block, n_in, n_out, density, seed):
-        # A +/-1 weight makes the product term the sign select exactly.
-        rng = np.random.default_rng(seed)
-        w = binarize_weights(rng.uniform(-1, 1, (n_out, n_in)))
-        spikes = _sparse(rng, n_in, density, 0.0)
-        with mock.patch.object(numerics, "_BLOCK", block):
-            got = addition_only_forward(_sign_layer(w), events_from_spikes(spikes), spikes.shape)
-        _assert_bitwise(got, term_loop_matmul(spikes[None], w.T)[0])
-
-    @given(block=st.sampled_from(BLOCKS), c_in=st.integers(1, 3), c_out=st.integers(1, 16),
-           h=st.integers(1, 8), w=st.integers(1, 8), k=st.integers(1, 3),
-           stride=st.integers(1, 3), padding=st.integers(0, 2), density=DENSITIES,
-           seed=st.integers(0, 2**32 - 1))
-    def test_event_conv_matches_term_loop(self, block, c_in, c_out, h, w, k, stride, padding,
-                                          density, seed):
-        # The silent positions of a patch are +0.0 inputs whose -1 weights
-        # make -0.0 terms.
-        assume(k <= h + 2 * padding and k <= w + 2 * padding)
-        rng = np.random.default_rng(seed)
-        kern = binarize_weights(rng.uniform(-1, 1, (c_out, c_in, k, k)))
-        spikes = _sparse(rng, (c_in, h, w), density, 0.0)
-        layer = _sign_layer(kern, stride=stride, padding=padding)
-        with mock.patch.object(numerics, "_BLOCK", block):
-            got = addition_only_forward(layer, events_from_spikes(spikes), spikes.shape)
-        _assert_bitwise(got, term_loop_conv(spikes[None], kern, stride, padding)[0])
 
     def test_small_output_carries_its_sum_across_blocks(self):
         rng = np.random.default_rng(4)

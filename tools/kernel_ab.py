@@ -77,11 +77,10 @@ def cases(rng):
 
     convnet-bars: conv 1->8 (3x3, stride 1, pad 1) on 8x8, conv 8->16
     (stride 2, pad 1), head 256->4. rings-tiny: 8-16-16-16-2, hidden layers
-    16->16 and head 16->2. infer-wide:
-    a 128x128 binarized layer. Spiking inputs fire at about the trained
-    recipes' rate. The conv gradients run at convnet-bars' training batch of
-    64: the kernel gradient of both convs, the input gradient of the second
-    (the encoder's input needs none).
+    16->16 and head 16->2. infer-wide: a 128x128 binarized layer. Spiking
+    inputs fire at about the trained recipes' rate. The conv gradients run at
+    convnet-bars' training batch of 64: the kernel gradient of both convs,
+    the input gradient of the second (the encoder's input needs none).
     """
     out = []
     k1 = rng.uniform(-1, 1, (8, 1, 3, 3))
