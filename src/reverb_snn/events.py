@@ -6,27 +6,26 @@ consumes events by pure accumulation: weight +1 adds the spike value, weight
 -1 subtracts it. The kernel is the dense kernels' fixed-order reduction
 (`numerics._accumulate`) with a sign-select term in place of the multiply:
 a dense layer has one term per event, a conv layer scatters its events into
-a zero map and has one term per kernel tap, as `conv2d` does. The reduction
-selects a block of terms with one call and adds them in event or tap order;
-one sample's output is small, so a block usually holds every term of the
-layer and is added with one np.bincount call. Inference (`event_forward`)
-runs the same LIF loop as the dense forward pass, so the two paths agree
-bitwise by construction.
+a zero map and has one term per kernel tap, as `conv2d` does. Inference
+(`event_forward`) runs the same LIF loop as the dense forward pass, so the
+two paths agree bitwise by construction.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,
 dense or conv. A middle layer takes spikes, binarized or not, so each nonzero
-input costs one SOP per output it reaches (its fan-out, see `_meter`): the
-accumulations of the addition-only kernel exactly. The real-weight encoder
-and classifier cost one FLOP per MAC, charged once per timestep. Energy uses
-12.5 pJ per FLOP and 77 fJ per SOP. Dense and event evaluation share one loop
+input costs one SOP per output it reaches (its fan-out, see `_meter`). The
+reduction itself keeps the kernel's OpCounter (`numerics._accumulate`): one
+accumulation per nonzero operand per term it reaches, which is that SOP
+count exactly, and one weight-activation multiply per term of the multiply
+path, which the kernel never takes. The real-weight encoder and classifier
+cost one FLOP per MAC, charged once per timestep. Energy uses 12.5 pJ per
+FLOP and 77 fJ per SOP. Dense and event evaluation share one loop
 (`_evaluate`) and its SOP count, and differ only in how a batch's logits are
 computed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -34,8 +33,8 @@ import numpy as np
 
 from .errors import DimensionError, ModeError, StateError
 from .layers import CONV, DENSE, BinaryLayer
-from .network import Network, _output_shape
-from .numerics import _accumulate, _conv_terms, _windows, as_f64, conv2d, matmul
+from .network import Network
+from .numerics import _accumulate, _conv_terms, _tap_rows_index, as_f64, conv2d, matmul
 from .training import _check_batch, _samples_and_labels, _unroll, aggregate_output, forward_pass
 
 FLOP_JOULES = 12.5e-12
@@ -104,24 +103,15 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
         raise DimensionError(f"event indices {idx[0]}..{idx[-1]} outside layer input {n_in}")
 
     if layer.kind == DENSE:
-        if counter is not None:
-            counter.accumulations += w.shape[0] * len(events)
         values, rows = events.values[:, None], w.T
         return _accumulate(w.shape[:1], len(events),
-                           lambda lo, hi: (values[lo:hi], rows[idx[lo:hi]]), signed=True)
+                           lambda lo, hi: (values[lo:hi], rows[idx[lo:hi]]),
+                           signed=True, counter=counter)
 
     spikes = np.zeros((1,) + tuple(input_shape), dtype=np.float64)
     spikes.flat[idx] = events.values
-    shape, count, patches = _conv_terms(spikes, w, layer.stride, layer.padding)
-
-    def block(lo, hi):
-        x, columns = patches(lo, hi)
-        if counter is not None:
-            # Each nonzero entry of a tap's patch is one (event, ky, kx) landing on an output.
-            counter.accumulations += shape[0] * int(np.count_nonzero(x))
-        return x, columns
-
-    return _accumulate(shape, count, block, signed=True)[:, 0]
+    terms = _conv_terms(spikes, w, layer.stride, layer.padding)
+    return _accumulate(*terms, signed=True, counter=counter)[:, 0]
 
 
 @dataclass
@@ -215,17 +205,17 @@ def estimate_energy(flops: float, sops: float, sparsity: float = 0.0,
 def _meter(net: Network) -> SparsityMeter:
     """A SparsityMeter that knows each middle layer's fan-out: a dense layer's
     output width, or a conv layer's C_out times the taps that meet each (H, W)
-    input position (`numerics._windows`; none on zero padding)."""
+    input position (`numerics._tap_rows_index`; none on zero padding)."""
     meter = SparsityMeter()
-    shapes = list(itertools.accumulate(net.layers, _output_shape, initial=net.input_shape))
+    shapes = [tuple(net.input_shape)] + net.layer_output_shapes()
     for l, layer in enumerate(net.layers[1:-1], 1):
         meter.fan_out[l] = layer.out_channels
         if layer.kind == CONV:
             (h, w), p = shapes[l][1:], layer.padding
-            taps = np.zeros((1, 1, h + 2 * p, w + 2 * p), dtype=np.int64)
-            rows, offsets = _windows(taps, layer.w_latent.shape[2], layer.stride, shapes[l + 1][1:])
-            np.add.at(rows, offsets, 1)
-            meter.fan_out[l] *= taps[0, 0, p : p + h, p : p + w].ravel()
+            k, hp, wp = layer.w_latent.shape[2], h + 2 * p, w + 2 * p
+            index = _tap_rows_index((1, 1, hp, wp), k, layer.stride, shapes[l + 1][1:])
+            taps = np.bincount(index, minlength=hp * wp).reshape(hp, wp)
+            meter.fan_out[l] *= taps[p : p + h, p : p + w].ravel()
     return meter
 
 

@@ -53,7 +53,7 @@ def _bins(count: int, size: int) -> np.ndarray:
     return np.tile(np.arange(size, dtype=np.intp), count)
 
 
-def _accumulate(shape, count: int, block, signed: bool = False) -> np.ndarray:
+def _accumulate(shape, count: int, block, signed: bool = False, counter=None) -> np.ndarray:
     """Add `count` terms into a zeroed `shape` array, one at a time in
     ascending term order.
 
@@ -75,6 +75,10 @@ def _accumulate(shape, count: int, block, signed: bool = False) -> np.ndarray:
     when both addends are. A larger output adds a block's terms one by one.
     Adding an exact zero term changes nothing either, so skipping silent
     inputs keeps the result bitwise equal.
+
+    A `counter` (an `events.OpCounter`) counts each block's accumulations, one
+    per nonzero entry of x per term it broadcasts to, and on the multiply path
+    (not `signed`) its terms.size products as weight-activation multiplies.
     """
     out = np.zeros(shape, dtype=np.float64)
     step = max(1, _BLOCK // max(out.size, 1))
@@ -88,6 +92,9 @@ def _accumulate(shape, count: int, block, signed: bool = False) -> np.ndarray:
             np.copyto(terms, x, where=w > 0)
         else:
             np.multiply(x, w, out=terms)
+        if counter is not None:
+            counter.accumulations += int(np.count_nonzero(x)) * (terms.size // max(x.size, 1))
+            counter.weight_activation_mults += 0 if signed else terms.size
         if 0 < out.size <= _BINCOUNT:
             terms[0] += out
             out = np.bincount(_bins(hi - lo, out.size), terms.ravel(),
