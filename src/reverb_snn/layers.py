@@ -64,10 +64,9 @@ class BinaryLayer:
         if self.kind not in (DENSE, CONV):
             raise ValueError(f"unknown layer kind {self.kind!r}")
         expected_ndim = 2 if self.kind == DENSE else 4
-        if self.w_latent.ndim != expected_ndim:
-            raise DimensionError(
-                f"{self.kind} layer expects {expected_ndim}-D weights, got {self.w_latent.shape}"
-            )
+        if self.w_latent.ndim != expected_ndim or 0 in self.w_latent.shape:
+            raise DimensionError(f"{self.kind} layer expects {expected_ndim}-D weights with "
+                                 f"no empty axis, got {self.w_latent.shape}")
         if self.alpha.shape != (self.out_channels,):
             raise DimensionError(
                 f"alpha must have one entry per output channel "

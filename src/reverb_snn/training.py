@@ -66,9 +66,11 @@ def _check_batch(net: Network, batch: np.ndarray) -> None:
 
 
 def _samples_and_labels(net: Network, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Features as float64 and labels as an array: one label per sample, a batch
+    """Features as float64 and 1-D integer labels: one label per sample, a batch
     for `net` (checked first, the clearer fault), labels in [0, net.num_classes)."""
     x, y = as_f64(x), np.asarray(y)
+    if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
+        raise DimensionError(f"labels must be a 1-D integer array, got {y.dtype} {y.shape}")
     if len(x) != len(y):
         raise DimensionError(f"{len(x)} samples but {len(y)} labels")
     _check_batch(net, x)

@@ -7,6 +7,7 @@ lines alongside the pytest verdicts.
 import numpy as np
 import pytest
 
+from reverb_snn import events, numerics
 from reverb_snn.datasets import rings
 from reverb_snn.events import (OpCounter, addition_only_forward,
                                estimate_energy, events_from_spikes)
@@ -86,7 +87,7 @@ def test_criterion_3_gradient_oracle():
                    f"for latent weights and amplitudes")
 
 
-def test_criterion_4_addition_only_kernel():
+def _criterion_4_check() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     counter = OpCounter()
 
@@ -109,10 +110,23 @@ def test_criterion_4_addition_only_kernel():
         conv_ok &= np.array_equal(out, conv2d(spikes, conv.w_latent, 2, 1))
 
     ok = dense_ok and conv_ok and counter.weight_activation_mults == 0
-    _report(4, ok, f"bitwise equality on 1000 dense + 200 conv sparse inputs: "
-                   f"{dense_ok and conv_ok}; weight-activation multiplies: "
-                   f"{counter.weight_activation_mults} (must be 0); "
-                   f"accumulations: {counter.accumulations}")
+    return ok, (f"bitwise equality on 1000 dense + 200 conv sparse inputs: "
+                f"{dense_ok and conv_ok}; weight-activation multiplies: "
+                f"{counter.weight_activation_mults} (must be 0); "
+                f"accumulations: {counter.accumulations}")
+
+
+def test_criterion_4_addition_only_kernel():
+    _report(4, *_criterion_4_check())
+
+
+def test_criterion_4_fails_on_a_multiplying_kernel(monkeypatch):
+    # The same kernel on the reduction's multiply path: x * (+-1) is exact,
+    # so only the multiply count can tell, and the check must fail on it.
+    monkeypatch.setattr(events, "_accumulate",
+                        lambda *args, signed, **kw: numerics._accumulate(*args, **kw))
+    ok, detail = _criterion_4_check()
+    assert not ok and "sparse inputs: True;" in detail
 
 
 ABLATION = dict(hidden=16, middle_layers=2, epochs=100, lr0=0.03, batch=64)

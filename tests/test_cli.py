@@ -330,6 +330,19 @@ class TestEvalAndEnergy:
         assert main(["eval", "--checkpoint", str(out), "--dataset", "bar-images"]) == 2
         assert "stride must be >= 1" in capsys.readouterr().err
 
+    def test_zero_width_layer_checkpoint_is_parse_error(self, tmp_path, capsys):
+        # A hidden layer with no outputs still chains into a layer with no
+        # inputs; the layer rule must reject it before eval's sparsity
+        # divides by that input size.
+        net = build_network("mlp-tiny", (8,), 2, "reverb", 2, seed=0)
+        hidden, after = net.layers[1], net.layers[2]
+        hidden.w_latent, hidden.alpha = hidden.w_latent[:0], hidden.alpha[:0]
+        after.w_latent = after.w_latent[:, :0]
+        out = tmp_path / "net.rvrb"
+        save_checkpoint(net, out)
+        assert main(["eval", "--checkpoint", str(out), "--dataset", "rings"]) == 2
+        assert "no empty axis, got (0, 16)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("folded", [False, True])
     def test_labels_beyond_the_head_exit_4(self, tmp_path, folded, capsys):
         # Class 2 of the CSV directory has no output of a 2-class network.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reverb_snn import events as events_module
 from reverb_snn import numerics
 
 from reverb_snn.errors import DimensionError, ModeError, StateError
@@ -121,6 +122,31 @@ class TestAdditionOnlyForward:
             total_events += len(ev)
             addition_only_forward(layer, ev, counter=counter)
         assert counter.accumulations == total_events * 7
+
+    def test_multiply_path_is_counted_as_multiplies(self, monkeypatch):
+        # The audit can fail: a kernel that multiplies by its +-1 weights
+        # keeps every output bit (x * +-1 is exact) and every accumulation,
+        # but `_accumulate` counts each product it forms.
+        rng = np.random.default_rng(12)
+        dense = sign_dense(rng, 16, 16)
+        conv = BinaryLayer(w_latent=binarize_weights(rng.uniform(-1, 1, (16, 8, 3, 3))),
+                           alpha=np.ones(16), binarize=True, kind=CONV, stride=2, padding=1)
+        dense_spikes = np.zeros(16)
+        dense_spikes[::2] = rng.uniform(0.1, 1, 8)
+        calls = [(dense, dense_spikes, 8 * 16),
+                 (conv, _sparse_spikes(rng, (8, 8, 8), 0.6), 8 * 3 * 3 * 16 * 4 * 4)]
+        adding = [OpCounter(), OpCounter()]
+        refs = [addition_only_forward(layer, events_from_spikes(spikes), spikes.shape, c)
+                for (layer, spikes, _), c in zip(calls, adding)]
+        monkeypatch.setattr(events_module, "_accumulate",
+                            lambda *args, signed, **kw: numerics._accumulate(*args, **kw))
+        for (layer, spikes, products), ref, added in zip(calls, refs, adding):
+            counter = OpCounter()
+            out = addition_only_forward(layer, events_from_spikes(spikes), spikes.shape, counter)
+            assert out.tobytes() == ref.tobytes()
+            assert counter.accumulations == added.accumulations > 0
+            assert added.weight_activation_mults == 0
+            assert counter.weight_activation_mults == products
 
     def test_conv_event_index_outside_input_is_dimension_error(self):
         layer = BinaryLayer(w_latent=np.ones((2, 1, 3, 3)), alpha=np.ones(2),

@@ -39,30 +39,42 @@ def test_input_that_is_not_a_batch_of_samples_is_dimension_error(entry, bad, arc
         ENTRY_POINTS[entry](net, fold_alpha(net), x)
 
 
-@pytest.mark.parametrize("entry", ["evaluate_dense", "evaluate_event_driven", "train",
-                                   "gradient_check"])
+# The entry points that take labels; each takes the trained network.
+LABELLED_ENTRY_POINTS = {
+    "evaluate_dense": lambda net, x, y: evaluate_dense(net, x, y),
+    "evaluate_event_driven": lambda net, x, y: evaluate_event_driven(fold_alpha(net), x, y),
+    "train": lambda net, x, y: train(net, (x, y), TrainConfig(epochs=1, seed=0)),
+    "gradient_check": lambda net, x, y: gradient_check(net, x, y),
+}
+
+
+@pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS)
 def test_fewer_labels_than_samples_is_dimension_error(entry):
     net = build_network("mlp-tiny", (8,), 2, MODE_LEARNABLE, 2, seed=0)
     rng = np.random.default_rng(0)
     x, y = rng.uniform(0, 1, (20, 8)), rng.integers(0, 2, 10)
-    call = {"evaluate_dense": lambda: evaluate_dense(net, x, y),
-            "evaluate_event_driven": lambda: evaluate_event_driven(fold_alpha(net), x, y),
-            "train": lambda: train(net, (x, y), TrainConfig(epochs=1, seed=0)),
-            "gradient_check": lambda: gradient_check(net, x, y)}[entry]
     with pytest.raises(DimensionError, match="20 samples but 10 labels"):
-        call()
+        LABELLED_ENTRY_POINTS[entry](net, x, y)
 
 
-@pytest.mark.parametrize("entry", ["evaluate_dense", "evaluate_event_driven", "train",
-                                   "gradient_check"])
+@pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS)
 @pytest.mark.parametrize("bad", [2, 5, -1])
 def test_label_outside_the_classes_is_dimension_error(entry, bad):
     net = build_network("mlp-tiny", (8,), 2, MODE_LEARNABLE, 2, seed=0)
     rng = np.random.default_rng(0)
     x, y = rng.uniform(0, 1, (4, 8)), np.array([0, 1, bad, 1])
-    call = {"evaluate_dense": lambda: evaluate_dense(net, x, y),
-            "evaluate_event_driven": lambda: evaluate_event_driven(fold_alpha(net), x, y),
-            "train": lambda: train(net, (x, y), TrainConfig(epochs=1, seed=0)),
-            "gradient_check": lambda: gradient_check(net, x, y)}[entry]
     with pytest.raises(DimensionError, match=rf"labels \[{bad}\] outside \[0, 2\)"):
-        call()
+        LABELLED_ENTRY_POINTS[entry](net, x, y)
+
+
+@pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", ["2-D", "non-integer"])
+def test_labels_that_are_not_a_1d_integer_array_are_dimension_error(entry, bad):
+    # A (4, 1) label column once broadcast against the predictions (accuracy
+    # 2.0), and y + 0.5 matched no class (accuracy 0.0, an IndexError in train).
+    net = build_network("mlp-tiny", (8,), 2, MODE_LEARNABLE, 2, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, (4, 8)), np.array([0, 1, 0, 1])
+    y = y[:, None] if bad == "2-D" else y + 0.5
+    with pytest.raises(DimensionError, match="labels must be a 1-D integer array"):
+        LABELLED_ENTRY_POINTS[entry](net, x, y)

@@ -13,8 +13,10 @@ From the repository root, with DIR a checkout of the parent commit (made with
 
     python3 tools/kernel_ab.py --against DIR
 
-Each shape's outputs must be byte-equal on both sides; the script checks
-that first and exits 1 naming the shape on any difference. It then prints,
+Each shape's outputs must be byte-equal on both sides, and each event
+shape's accumulation count (the kernel runs with an OpCounter, as eval runs
+it) equal; the script checks that first and exits 1 naming the shape on any
+difference. It then prints,
 per shape, the median time per call of each side over the rounds, with the
 median minor page faults per call of that side next to it (the process's
 own `ru_minflt` around the timed calls: a call that maps fresh memory
@@ -62,12 +64,19 @@ def _spikes(rng, shape, density):
 
 
 def _event(w, spikes, **conv):
-    """Setup of one event-kernel call: the layer and event list are built once
-    per engine, outside the timing."""
+    """Setup of one event-kernel call, counted into an OpCounter as
+    `evaluate_event_driven` counts it: the layer, event list and counter are
+    built once per engine, outside the timing, and the call carries its
+    counter."""
     def make(e):
         layer = _sign_layer(e, w, **conv)
         events = e.events_from_spikes(spikes)
-        return lambda: e.addition_only_forward(layer, events, spikes.shape)
+        counter = e.OpCounter()
+
+        def call():
+            return e.addition_only_forward(layer, events, spikes.shape, counter)
+        call.counter = counter
+        return call
     return make
 
 
@@ -156,6 +165,11 @@ def main(argv=None) -> int:
                 or outs["parent"].tobytes() != outs["change"].tobytes()):
             print(f"outputs differ: {label}")
             return 1
+        # One call each so far: equal counts if both sides count alike.
+        counters = [getattr(fn, "counter", None) for fn in fns.values()]
+        if counters[0] is not None and counters[0].accumulations != counters[1].accumulations:
+            print(f"accumulations differ: {label}")
+            return 1
         number = 1
         while _per_call(fns["change"], number)[0] * number < ROUND_S:
             number *= 2
@@ -174,7 +188,7 @@ def main(argv=None) -> int:
         print(f"{label:<26} parent {pm * 1e6:10.1f} us {pf:7.1f} flt  "
               f"change {cm * 1e6:10.1f} us {cf:7.1f} flt  "
               f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
-    print(f"all outputs byte-equal over {len(shapes)} shapes")
+    print(f"all outputs byte-equal over {len(shapes)} shapes, event accumulations equal")
     return 0
 
 
