@@ -70,8 +70,8 @@ def test_label_outside_the_classes_is_dimension_error(entry, bad):
 @pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS)
 @pytest.mark.parametrize("bad", ["2-D", "non-integer"])
 def test_labels_that_are_not_a_1d_integer_array_are_dimension_error(entry, bad):
-    # A (4, 1) label column once broadcast against the predictions (accuracy
-    # 2.0), and y + 0.5 matched no class (accuracy 0.0, an IndexError in train).
+    # A (4, 1) label column broadcasts against the predictions, and y + 0.5
+    # matches no class: neither can be scored.
     net = build_network("mlp-tiny", (8,), 2, MODE_LEARNABLE, 2, seed=0)
     rng = np.random.default_rng(0)
     x, y = rng.uniform(0, 1, (4, 8)), np.array([0, 1, 0, 1])

@@ -14,14 +14,14 @@ From the repository root, with DIR a checkout of the parent commit (made with
     python3 tools/kernel_ab.py --against DIR
 
 Each shape's outputs must be byte-equal on both sides, and each event
-shape's accumulation count (the kernel runs with an OpCounter, as eval runs
-it) equal; the script checks that first and exits 1 naming the shape on any
-difference. It then prints,
-per shape, the median time per call of each side over the rounds, with the
-median minor page faults per call of that side next to it (the process's
-own `ru_minflt` around the timed calls: a call that maps fresh memory
-faults), and the median and quartiles of the per-round ratio (parent over
-change, the two timed back to back: above 1 means this tree is faster).
+shape's accumulation count equal (the event kernel runs with an OpCounter,
+as eval runs it); the script checks that first and exits 1 naming the shape
+on any difference. It then prints, per shape, the median time per call of
+each side over the rounds, with the median minor page faults per call of
+that side next to it (the process's own `ru_minflt` around the timed calls:
+a call that maps fresh memory faults), and the median and quartiles of the
+per-round ratio (parent over change, the two timed back to back: above 1
+means this tree is faster).
 Running it with DIR a second copy of this tree shows how far the ratios stray
 on that host with no change at all.
 """
