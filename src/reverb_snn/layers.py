@@ -13,9 +13,9 @@ the clipped identity clip(W, -1, 1), whose exact derivative is that same
 window mask, so the analytic backward can be validated by finite
 differences.
 
-This module alone decides which parameters a layer trains (`_params`: the
-network's parameter list, the backward pass, the optimizer and the gradient
-check iterate it) and which kernel computes its synaptic current
+This module alone decides which parameters a layer trains (`_params`:
+`training.Gradients` lays out the backward pass's gradients, the optimizer's
+velocity and the gradient check by it) and which kernel computes its synaptic current
 (`_contract`: the fixed-order matmul for dense layers, conv2d for conv
 layers; `forward` and `alpha_grad` call it).
 """

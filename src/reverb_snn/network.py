@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .layers import CONV, DENSE, BinaryLayer, _params
+from .layers import CONV, DENSE, BinaryLayer
 from .neuron import FireMode, NeuronParams
 from .numerics import _check_conv_args
 
@@ -59,12 +59,6 @@ class Network:
         """Per-sample output shape of each layer, propagated from input_shape."""
         return list(itertools.accumulate(self.layers, _output_shape,
                                          initial=tuple(self.input_shape)))[1:]
-
-    def parameters(self):
-        """Yield (name, array) for every trainable parameter."""
-        for i, layer in enumerate(self.layers):
-            for name, param in _params(layer):
-                yield f"layer{i}.{name}", param
 
 
 def _output_shape(shape: tuple[int, ...], layer: BinaryLayer) -> tuple[int, ...]:

@@ -79,8 +79,7 @@ def test_criterion_3_gradient_oracle():
         rng = np.random.default_rng(seed)
         batch = rng.uniform(0, 1, (8, 6))
         labels = rng.integers(0, 4, 8)
-        report = gradient_check(net, batch, labels,
-                                boundary_margin=1e-4, tolerance=1e-3)
+        report = gradient_check(net, batch, labels)
         worst = max(worst, report.max_rel)
     ok = worst <= 1e-3
     _report(3, ok, f"max relative gradient error {worst:.3e} (limit 1e-3) "
