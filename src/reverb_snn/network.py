@@ -171,26 +171,6 @@ def build_convnet(
     return Network(layers, neurons, timesteps, tuple(input_shape), num_classes, mode)
 
 
-def build_gradcheck_net(
-    n_in: int = 6,
-    hidden: int = 8,
-    num_classes: int = 4,
-    timesteps: int = 2,
-    tau: float = 0.25,
-    v_th: float = 0.0,
-    seed: int = 0,
-) -> Network:
-    """Tiny two-layer net (real encoder -> binarized learnable output) used by
-    the finite-difference gradient check."""
-    rng = np.random.default_rng(seed)
-    layers = [
-        _make_layer(rng, (hidden, n_in), DENSE, MODE_LEARNABLE, middle=False),
-        _make_layer(rng, (num_classes, hidden), DENSE, MODE_LEARNABLE, middle=True),
-    ]
-    neurons = [_neuron(MODE_LEARNABLE, tau, v_th) for _ in layers]
-    return Network(layers, neurons, timesteps, (n_in,), num_classes, MODE_LEARNABLE)
-
-
 def build_network(
     arch: str,
     input_shape,

@@ -13,7 +13,7 @@ from reverb_snn.events import (OpCounter, addition_only_forward,
                                estimate_energy, events_from_spikes)
 from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, MODE_VANILLA,
-                                build_convnet, build_gradcheck_net, build_mlp)
+                                build_convnet, build_mlp)
 from reverb_snn.neuron import FireMode, NeuronParams, fire_real
 from reverb_snn.numerics import conv2d, matmul
 from reverb_snn.reparam import fold_alpha, verify_equivalence
@@ -75,7 +75,8 @@ def test_criterion_2_reparameterization_equivalence():
 def test_criterion_3_gradient_oracle():
     worst = 0.0
     for seed in (0, 1, 2):
-        net = build_gradcheck_net(seed=seed)  # 2 layers, 12 neurons, T = 2
+        # 6-4-4-4: 12 neurons, T = 2, one binarized firing middle layer
+        net = build_mlp((6,), 4, MODE_LEARNABLE, timesteps=2, seed=seed, hidden=4)
         rng = np.random.default_rng(seed)
         batch = rng.uniform(0, 1, (8, 6))
         labels = rng.integers(0, 4, 8)
