@@ -116,6 +116,8 @@ def _read_idx(path: Path) -> np.ndarray:
     zero1, zero2, dtype_code, ndim = data[0], data[1], data[2], data[3]
     if zero1 != 0 or zero2 != 0 or dtype_code != 0x08:
         raise ParseError(f"{path.name}: bad magic {data[:4].hex()}", offset=0)
+    if ndim == 0:
+        raise ParseError(f"{path.name}: header gives no dimensions", offset=3)
     header_end = 4 + 4 * ndim
     if len(data) < header_end:
         raise ParseError(f"{path.name}: dimension header truncated", offset=len(data))
@@ -154,6 +156,8 @@ def _load_idx_dir(directory: Path) -> Dataset:
         n_lab = len(parts[f"{key}_y"])
         if n_img != n_lab:
             raise ParseError(f"{split}: {n_img} images but {n_lab} labels")
+        if n_img == 0:
+            raise ParseError(f"{split}: no samples in {directory}")
     train_x = parts["train_x"].astype(np.float64)[:, None] / 255.0
     test_x = parts["test_x"].astype(np.float64)[:, None] / 255.0
     return Dataset(directory.name, train_x, parts["train_y"].astype(np.int64),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reverb_snn.cli import main
 from reverb_snn.datasets import (bar_images, load_dataset, two_gaussians,
                                  xor_gaussians)
 from reverb_snn.errors import ParseError
@@ -168,6 +169,27 @@ class TestIdxDirectory:
         labels.write_bytes(self._idx_bytes((11,), bytes(11)))
         with pytest.raises(ParseError):
             load_dataset(str(tmp_path), seed=0)
+
+    def _train_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {tmp_path}\narchitecture = mlp-small\n"
+                       f"mode = reverb\ntimesteps = 1\nepochs = 1\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.rvrb")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_train, n_test, split", [(12, 0, "t10k"), (0, 5, "train")])
+    def test_empty_split_is_parse_error(self, tmp_path, capsys, n_train, n_test, split):
+        self._write_idx_dir(tmp_path, n_train=n_train, n_test=n_test)
+        code, err = self._train_exit(tmp_path, capsys)
+        assert code == 2
+        assert f"{split}: no samples" in err
+
+    def test_zero_dimension_header_is_parse_error(self, tmp_path, capsys):
+        self._write_idx_dir(tmp_path)
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(self._idx_bytes((), bytes(1)))
+        code, err = self._train_exit(tmp_path, capsys)
+        assert code == 2
+        assert "train-images-idx3-ubyte: header gives no dimensions" in err
 
     def test_dot_separated_naming_variant(self, tmp_path):
         # some distributions name the files train-images.idx3-ubyte
