@@ -6,13 +6,14 @@ import pytest
 from reverb_snn import training
 from reverb_snn.datasets import two_gaussians
 from reverb_snn.errors import DimensionError, StateError, TrainingError
-from reverb_snn.layers import DENSE, BinaryLayer, binarize_weights
+from reverb_snn.layers import ALPHA_FLOOR, DENSE, BinaryLayer, binarize_weights
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, Network,
                                 build_convnet, build_mlp)
 from reverb_snn.neuron import FireMode, NeuronParams
-from reverb_snn.training import (TrainConfig, aggregate_output, backward_stbp,
-                                 ce_loss, ce_loss_grad, cosine_lr,
-                                 forward_pass, gradient_check, sgd_step, train)
+from reverb_snn.training import (Gradients, SgdOptimizer, TrainConfig,
+                                 aggregate_output, backward_stbp, ce_loss,
+                                 ce_loss_grad, cosine_lr, forward_pass,
+                                 gradient_check, sgd_step, train)
 
 
 def single_layer_net(w, timesteps=1, tau=0.25, v_th=0.0):
@@ -303,6 +304,66 @@ class TestSgdStep:
         np.testing.assert_allclose(p, [-0.1 * 1.0 - 0.1 * (0.9 * 1.0 + 2.0)])
 
 
+# Each Gradients field and the layer attribute it trains.
+PARAM_ATTRS = {"w": "w_latent", "alpha": "alpha", "gamma": "affine_gamma", "beta": "affine_beta"}
+
+
+class TestSgdOptimizer:
+    def test_zeros_layout_follows_the_trained_parameters(self):
+        net = build_mlp((5,), 3, MODE_LEARNABLE, timesteps=1, seed=0, hidden=6, affine=True)
+        g = Gradients.zeros(net)
+        for name, attr in PARAM_ATTRS.items():
+            # encoder and head train only w; the middle layer trains all four
+            got = [None if a is None else a.shape for a in getattr(g, name)]
+            want = [getattr(layer, attr).shape if name == "w" or l == 1 else None
+                    for l, layer in enumerate(net.layers)]
+            assert got == want, name
+        assert all(not a.any() for per_layer in vars(g).values() for a in per_layer
+                   if a is not None)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_mlp((5,), 3, MODE_LEARNABLE, timesteps=1, seed=0, hidden=6,
+                          affine=True),
+        lambda: build_convnet((1, 6, 6), 3, MODE_LEARNABLE, timesteps=1, seed=0,
+                              channels=(2, 3), affine=True),
+    ], ids=["mlp", "convnet"])
+    def test_momentum_across_steps_matches_hand_updates(self, build):
+        # Three steps at momentum 0.9, each with its own fixed random
+        # gradients: a velocity kept in another parameter's slot, or not
+        # kept across steps, changes the result.
+        net = build()
+        rng = np.random.default_rng(0)
+        steps = []
+        for _ in range(3):
+            g = Gradients.zeros(net)
+            for per_layer in vars(g).values():
+                for l, a in enumerate(per_layer):
+                    if a is not None:
+                        per_layer[l] = rng.normal(0.0, 1e-3, a.shape)
+            steps.append(g)
+        slots = [(name, l) for name, per_layer in vars(steps[0]).items()
+                 for l, a in enumerate(per_layer) if a is not None]
+        assert {name for name, _ in slots} == set(PARAM_ATTRS)
+        lr, m = 0.05, 0.9
+        hand = {}
+        for name, l in slots:
+            p = getattr(net.layers[l], PARAM_ATTRS[name]).copy()
+            v = np.zeros_like(p)
+            for g in steps:
+                sgd_step([p], [getattr(g, name)[l]], [v], lr, m)
+            hand[name, l] = p
+        opt = SgdOptimizer(net, momentum=m)
+        for g in steps:
+            opt.step(net, g, lr)
+        for (name, l), want in hand.items():
+            layer = net.layers[l]
+            if layer.binarize:  # the optimizer's clip and floor must not act
+                assert np.abs(hand["w", l]).max() <= 1.0
+                assert hand["alpha", l].min() >= ALPHA_FLOOR
+            np.testing.assert_array_equal(getattr(layer, PARAM_ATTRS[name]), want,
+                                          err_msg=f"{name} of layer {l}")
+
+
 class TestCosineLr:
     def test_start_is_lr0(self):
         assert cosine_lr(0, 100, 0.1) == pytest.approx(0.1)
@@ -387,9 +448,6 @@ class TestTrain:
     def test_optimizer_reimposes_layer_invariants(self):
         # A huge step may push latent weights outside [-1, 1] and the
         # amplitude below its floor; the optimizer restores both.
-        from reverb_snn.layers import ALPHA_FLOOR
-        from reverb_snn.training import Gradients, SgdOptimizer
-
         net = build_mlp((4,), 2, MODE_LEARNABLE, timesteps=1, seed=0, hidden=6)
         opt = SgdOptimizer(net, momentum=0.0)
         grads = Gradients(
