@@ -17,11 +17,9 @@ Each shape's outputs must be byte-equal on both sides, and each event
 shape's accumulation count equal (the event kernel runs with an OpCounter,
 as eval runs it); the script checks that first and exits 1 naming the shape
 on any difference. It then prints, per shape, the median time per call of
-each side over the rounds, with the median minor page faults per call of
-that side next to it (the process's own `ru_minflt` around the timed calls:
-a call that maps fresh memory faults), and the median and quartiles of the
-per-round ratio (parent over change, the two timed back to back: above 1
-means this tree is faster).
+each side over the rounds and the median and quartiles of the per-round
+ratio (parent over change, the two timed back to back: above 1 means this
+tree is faster).
 Running it with DIR a second copy of this tree shows how far the ratios stray
 on that host with no change at all.
 """
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import resource
 import statistics
 import sys
 import time
@@ -132,17 +129,12 @@ def cases(rng):
     return out
 
 
-def _minflt() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _per_call(fn, number: int) -> tuple[float, float]:
-    """Seconds and minor page faults per call, over `number` calls."""
-    f0, t0 = _minflt(), time.perf_counter()
+def _per_call(fn, number: int) -> float:
+    """Seconds per call, over `number` calls."""
+    t0 = time.perf_counter()
     for _ in range(number):
         fn()
-    t1, f1 = time.perf_counter(), _minflt()
-    return (t1 - t0) / number, (f1 - f0) / number
+    return (time.perf_counter() - t0) / number
 
 
 def main(argv=None) -> int:
@@ -171,22 +163,17 @@ def main(argv=None) -> int:
             print(f"accumulations differ: {label}")
             return 1
         number = 1
-        while _per_call(fns["change"], number)[0] * number < ROUND_S:
+        while _per_call(fns["change"], number) * number < ROUND_S:
             number *= 2
         times = {"parent": [], "change": []}
-        faults = {"parent": [], "change": []}
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for side in order:
-                seconds, flt = _per_call(fns[side], number)
-                times[side].append(seconds)
-                faults[side].append(flt)
+                times[side].append(_per_call(fns[side], number))
         pm, cm = (statistics.median(times[side]) for side in ("parent", "change"))
-        pf, cf = (statistics.median(faults[side]) for side in ("parent", "change"))
         q1, ratio, q3 = statistics.quantiles(
             [p / c for p, c in zip(times["parent"], times["change"])], n=4)
-        print(f"{label:<26} parent {pm * 1e6:10.1f} us {pf:7.1f} flt  "
-              f"change {cm * 1e6:10.1f} us {cf:7.1f} flt  "
+        print(f"{label:<26} parent {pm * 1e6:10.1f} us  change {cm * 1e6:10.1f} us  "
               f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
     print(f"all outputs byte-equal over {len(shapes)} shapes, event accumulations equal")
     return 0
