@@ -16,7 +16,7 @@ schedule decaying to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -169,7 +169,8 @@ def ce_loss_grad(o_out: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class Gradients:
     """Per-layer state laid out by `layers._params`: for each layer, one
     array per parameter it trains, None for the rest. Backward's gradients
-    and the optimizer's velocity both take this layout."""
+    and the optimizer's velocity take this layout; the gradient check reads
+    it."""
 
     w: list[np.ndarray]
     alpha: list[np.ndarray | None]
@@ -179,7 +180,7 @@ class Gradients:
     @classmethod
     def zeros(cls, net: Network) -> Gradients:
         """A zeroed array shaped like each parameter of `net`."""
-        grads = cls(*([None] * len(net.layers) for _ in range(4)))
+        grads = cls(**{f.name: [None] * len(net.layers) for f in fields(cls)})
         for l, layer in enumerate(net.layers):
             for name, p in L._params(layer):
                 getattr(grads, name)[l] = np.zeros_like(p)
