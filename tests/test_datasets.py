@@ -173,7 +173,7 @@ class TestIdxDirectory:
     def _train_exit(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"dataset = {tmp_path}\narchitecture = mlp-small\n"
-                       f"mode = reverb\ntimesteps = 1\nepochs = 1\n")
+                       "mode = reverb\ntimesteps = 1\nepochs = 1\n")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.rvrb")])
         return code, capsys.readouterr().err
 

@@ -135,7 +135,7 @@ class TestCeLoss:
 class TestBackwardStbp:
     def _toy_net(self, tau, T, seed=0):
         # Real encoder 5 -> 6, binarized learnable head 6 -> 3, built by hand
-        # as single_layer_net is: no builder binarizes a head, and a
+        # as single_layer_net is: no build_* function binarizes a head, and a
         # binarized head lets the T = 1 test read the STE and alpha rules
         # straight off the loss gradient.
         rng = np.random.default_rng(seed)
