@@ -52,11 +52,11 @@ class EventList:
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.values = as_f64(self.values)
-        if self.indices.shape != self.values.shape:
-            raise DimensionError("indices and values must have equal length")
-        if np.any(self.values == 0.0):
+        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
+            raise DimensionError("indices and values must be 1-D and of equal length")
+        if not self.values.all():
             raise ValueError("EventList must not contain zero-valued events")
-        if self.indices.size and np.any(np.diff(self.indices) <= 0):
+        if (self.indices[1:] <= self.indices[:-1]).any():
             raise ValueError("event indices must be strictly increasing")
 
     def __len__(self) -> int:
@@ -89,10 +89,10 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
     """
     if not layer.binarize:
         raise ModeError("addition-only path requires a binarized layer")
-    if not np.all(layer.alpha == 1.0):
+    if not (layer.alpha == 1.0).all():
         raise ModeError("layer amplitude not folded (alpha != 1)")
     w = layer.w_latent
-    if not np.all(np.abs(w) == 1.0):
+    if not (np.abs(w) == 1.0).all():
         raise ModeError("layer weights are not pure {-1,+1}; fold the network first")
 
     if layer.kind == CONV and (input_shape is None or len(input_shape) != 3):

@@ -72,7 +72,8 @@ def _accumulate(shape, count: int, block, signed: bool = False, counter=None) ->
     order, every bin starting at +0.0. Element j thus sees the roundings of a
     term-by-term loop, and the leading +0.0 changes no bit because the sum is
     never -0.0: it starts at +0.0, and a round-to-nearest sum is -0.0 only
-    when both addends are. A larger output adds a block's terms one by one.
+    when both addends are. On the first block the sum is still that +0.0, as
+    the bins are, so its add is skipped. A larger output adds term by term.
     Adding an exact zero term changes nothing either, so skipping silent
     inputs keeps the result bitwise equal.
 
@@ -96,7 +97,8 @@ def _accumulate(shape, count: int, block, signed: bool = False, counter=None) ->
             counter.accumulations += int(np.count_nonzero(x)) * (terms.size // max(x.size, 1))
             counter.weight_activation_mults += 0 if signed else terms.size
         if 0 < out.size <= _BINCOUNT:
-            terms[0] += out
+            if lo:
+                terms[0] += out
             out = np.bincount(_bins(hi - lo, out.size), terms.ravel(),
                               out.size).reshape(out.shape)
         else:

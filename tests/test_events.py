@@ -30,14 +30,53 @@ def sign_dense(rng, n_out, n_in):
     )
 
 
-class TestEventList:
-    def test_rejects_zero_values(self):
-        with pytest.raises(ValueError):
-            EventList(indices=[0, 1], values=[1.0, 0.0])
+INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
 
-    def test_rejects_duplicate_indices(self):
+
+@st.composite
+def event_lists(draw):
+    """Index lists over the whole int64 range, its ends drawn often, half of
+    them strictly increasing, and values that include +-0.0, NaN and +-inf."""
+    indices = draw(st.lists(INT64, max_size=6)
+                   | st.lists(INT64, max_size=6, unique=True).map(sorted))
+    values = draw(st.lists(st.floats() | st.sampled_from([0.0, -0.0]),
+                           min_size=len(indices), max_size=len(indices)))
+    return indices, values
+
+
+class TestEventList:
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    def test_rejects_zero_values(self, value):
         with pytest.raises(ValueError):
-            EventList(indices=[1, 1], values=[0.5, 0.5])
+            EventList(indices=[0, 1], values=[1.0, value])
+
+    # The last pair's difference does not fit in int64.
+    @pytest.mark.parametrize("indices", [[1, 1], [2, 1], [2**63 - 1, -(2**63)]])
+    def test_rejects_duplicate_or_decreasing_indices(self, indices):
+        with pytest.raises(ValueError):
+            EventList(indices=indices, values=[0.5, 0.5])
+
+    def test_accepts_int64_extremes_in_order(self):
+        ev = EventList(indices=[-(2**63), 2**63 - 1], values=[0.5, 0.5])
+        assert ev.indices.tolist() == [-(2**63), 2**63 - 1]
+
+    @pytest.mark.parametrize("indices, values", [(3, 0.5), ([[0, 1]], [[0.5, 0.5]])])
+    def test_non_1d_indices_are_dimension_error(self, indices, values):
+        with pytest.raises(DimensionError):
+            EventList(indices=indices, values=values)
+
+    @given(event_lists())
+    def test_accepts_exactly_nonzero_values_at_increasing_indices(self, pairs):
+        indices, values = pairs
+        valid = (all(v != 0 for v in values)
+                 and all(a < b for a, b in zip(indices, indices[1:])))
+        if not valid:
+            with pytest.raises(ValueError):
+                EventList(indices=indices, values=values)
+            return
+        ev = EventList(indices=indices, values=values)
+        assert ev.indices.tolist() == indices
+        np.testing.assert_array_equal(ev.values, values)
 
     def test_from_spikes_drops_zeros_keeps_order(self):
         ev = events_from_spikes(np.array([0.0, 0.7, 0.0, -0.2]))
