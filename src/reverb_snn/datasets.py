@@ -109,15 +109,21 @@ BUILTINS = {
 }
 
 
-def _read_idx(path: Path) -> np.ndarray:
+def _read_idx(directory: Path, stem: str, rank: int) -> np.ndarray:
+    """The uint8 array of `directory`'s IDX file `stem`, which must have
+    `rank` dimensions."""
+    path = _find_idx(directory, stem)
+    if path is None:
+        raise ParseError(f"missing IDX file {stem}-* in {directory}")
     data = path.read_bytes()
     if len(data) < 4:
         raise ParseError(f"{path.name}: header truncated", offset=len(data))
     zero1, zero2, dtype_code, ndim = data[0], data[1], data[2], data[3]
     if zero1 != 0 or zero2 != 0 or dtype_code != 0x08:
         raise ParseError(f"{path.name}: bad magic {data[:4].hex()}", offset=0)
-    if ndim == 0:
-        raise ParseError(f"{path.name}: header gives no dimensions", offset=3)
+    if ndim != rank:
+        raise ParseError(f"{path.name}: header gives {ndim or 'no'} dimensions, "
+                         f"{stem} need {rank}", offset=3)
     header_end = 4 + 4 * ndim
     if len(data) < header_end:
         raise ParseError(f"{path.name}: dimension header truncated", offset=len(data))
@@ -141,27 +147,18 @@ def _find_idx(directory: Path, stem: str) -> Path | None:
 
 
 def _load_idx_dir(directory: Path) -> Dataset:
-    """Official-split IDX directory (train-images / train-labels /
-    t10k-images / t10k-labels)."""
-    parts = {}
-    for split, stem in (("train_x", "train-images"), ("train_y", "train-labels"),
-                        ("test_x", "t10k-images"), ("test_y", "t10k-labels")):
-        path = _find_idx(directory, stem)
-        if path is None:
-            raise ParseError(f"missing IDX file {stem}-* in {directory}")
-        parts[split] = _read_idx(path)
+    """Official-split IDX directory: (n, H, W) images in train-images /
+    t10k-images, their (n,) labels in train-labels / t10k-labels."""
+    parts = []
     for split in ("train", "t10k"):
-        key = "train" if split == "train" else "test"
-        n_img = len(parts[f"{key}_x"])
-        n_lab = len(parts[f"{key}_y"])
-        if n_img != n_lab:
-            raise ParseError(f"{split}: {n_img} images but {n_lab} labels")
-        if n_img == 0:
+        images = _read_idx(directory, f"{split}-images", 3)
+        labels = _read_idx(directory, f"{split}-labels", 1)
+        if len(images) != len(labels):
+            raise ParseError(f"{split}: {len(images)} images but {len(labels)} labels")
+        if not len(images):
             raise ParseError(f"{split}: no samples in {directory}")
-    train_x = parts["train_x"].astype(np.float64)[:, None] / 255.0
-    test_x = parts["test_x"].astype(np.float64)[:, None] / 255.0
-    return Dataset(directory.name, train_x, parts["train_y"].astype(np.int64),
-                   test_x, parts["test_y"].astype(np.int64))
+        parts += [images.astype(np.float64)[:, None] / 255.0, labels.astype(np.int64)]
+    return Dataset(directory.name, *parts)
 
 
 def _load_csv_dir(directory: Path, seed: int) -> Dataset:

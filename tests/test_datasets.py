@@ -184,6 +184,18 @@ class TestIdxDirectory:
         assert code == 2
         assert f"{split}: no samples" in err
 
+    # Training takes (n,) labels, and `_load_idx_dir`'s [:, None] turns only
+    # (n, H, W) images into (n, 1, H, W) samples.
+    @pytest.mark.parametrize("name, dims", [("train-labels-idx1-ubyte", (12, 1)),
+                                            ("t10k-images-idx3-ubyte", (5, 16)),
+                                            ("train-images-idx3-ubyte", (12, 1, 4, 4))])
+    def test_wrong_rank_is_parse_error(self, tmp_path, capsys, name, dims):
+        self._write_idx_dir(tmp_path)
+        (tmp_path / name).write_bytes(self._idx_bytes(dims, bytes(int(np.prod(dims)))))
+        code, err = self._train_exit(tmp_path, capsys)
+        assert code == 2
+        assert f"{name}: header gives {len(dims)} dimensions" in err
+
     def test_zero_dimension_header_is_parse_error(self, tmp_path, capsys):
         self._write_idx_dir(tmp_path)
         (tmp_path / "train-images-idx3-ubyte").write_bytes(self._idx_bytes((), bytes(1)))
