@@ -78,7 +78,7 @@ def save_checkpoint(net: Network, path) -> None:
         buf += struct.pack("<B", w.ndim)
         buf += struct.pack(f"<{w.ndim}I", *w.shape)
         if net.inference_form and layer.binarize:
-            if not np.all(np.abs(w) == 1.0):
+            if not (np.abs(w) == 1.0).all():
                 raise StateError("inference-form binarized weights must be exactly +/-1")
             bits = (w.reshape(-1) > 0).astype(np.uint8)
             buf += np.packbits(bits, bitorder="little").tobytes()

@@ -72,7 +72,7 @@ class BinaryLayer:
                 f"alpha must have one entry per output channel "
                 f"({self.out_channels}), got {self.alpha.shape}"
             )
-        if np.any(self.alpha <= 0):
+        if (self.alpha <= 0).any():
             raise ValueError("alpha entries must be strictly positive")
 
     @property

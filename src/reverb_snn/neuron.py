@@ -62,7 +62,7 @@ class NeuronParams:
             if self.scale is None:
                 raise ValueError("SCALED_REAL mode requires a scale vector")
             self.scale = as_f64(self.scale)
-            if np.any(self.scale <= 0):
+            if (self.scale <= 0).any():
                 raise ValueError("firing scale entries must be strictly positive")
 
 

@@ -44,7 +44,7 @@ def fold_alpha(net: Network) -> Network:
         if not layer.binarize:
             continue
         layer.w_latent = binarize_weights(layer.w_latent)
-        if np.all(layer.alpha == 1.0):
+        if (layer.alpha == 1.0).all():
             continue
         scale = layer.alpha.copy()
         layer.alpha = np.ones_like(scale)

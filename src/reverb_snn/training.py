@@ -151,7 +151,7 @@ def ce_loss(o_out: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of softmax(o_out) against integer labels."""
     o_out = as_f64(o_out)
     labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= o_out.shape[1]):
+    if (labels < 0).any() or (labels >= o_out.shape[1]).any():
         raise IndexError(f"labels out of range for {o_out.shape[1]} classes")
     logp = _log_softmax(o_out)
     return float(-logp[np.arange(len(labels)), labels].mean())
