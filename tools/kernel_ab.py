@@ -4,9 +4,12 @@ Loads this tree's engine and the one under DIR/src side by side in one
 process, under distinct package names, and times `matmul`, `conv2d`,
 `addition_only_forward` and the two conv gradients (public API on both
 sides) at the shapes the shipped recipes run: a training batch of 64, an
-eval batch of 256 and one sample (the event path). Every shape is timed in
-interleaved rounds, the side that runs first alternating from round to
-round, so that a drift of the host's speed hits both sides alike.
+eval batch of 256 and one sample (the event path). End to end, it also times
+`evaluate_event_driven` and `evaluate_dense` of each recipe's folded network
+on 64 test samples, which takes in the per-call costs (EventList checks,
+layer checks) the kernel cases build outside their timing. Every case is
+timed in interleaved rounds, the side that runs first alternating from round
+to round, so that a drift of the host's speed hits both sides alike.
 
 From the repository root, with DIR a checkout of the parent commit (made with
 `git archive` or `git clone`):
@@ -15,11 +18,12 @@ From the repository root, with DIR a checkout of the parent commit (made with
 
 Each shape's outputs must be byte-equal on both sides, and each event
 shape's accumulation count equal (the event kernel runs with an OpCounter,
-as eval runs it); the script checks that first and exits 1 naming the shape
-on any difference. It then prints, per shape, the median time per call of
-each side over the rounds and the median and quartiles of the per-round
-ratio (parent over change, the two timed back to back: above 1 means this
-tree is faster).
+as eval runs it); each evaluation's accuracy, `EnergyReport.as_dict()` and,
+on the event path, accumulations must be equal. The script checks that first
+and exits 1 naming the case on any difference. It then prints, per case, the
+median time per call of each side over the rounds and the median and
+quartiles of the per-round ratio (parent over change, the two timed back to
+back: above 1 means this tree is faster).
 Running it with DIR a second copy of this tree shows how far the ratios stray
 on that host with no change at all.
 """
@@ -36,6 +40,9 @@ from pathlib import Path
 import numpy as np
 
 ROUND_S = 0.02        # each side's timing of one shape in one round lasts at least this
+ROOT = Path(__file__).resolve().parent.parent
+RECIPES = ("rings-tiny", "convnet-bars")
+EVAL_SAMPLES = 64
 
 
 def load_engine(src: Path, name: str):
@@ -77,6 +84,33 @@ def _event(w, spikes, **conv):
     return make
 
 
+def _evaluation(recipe: str, evaluate: str):
+    """Setup of one `evaluate` call (`evaluate_event_driven` or
+    `evaluate_dense`) of the recipe's folded network, built with the recipe's
+    seed, on the first EVAL_SAMPLES test samples of the recipe's dataset. The
+    call returns the accuracy, the energy report as a dict and, on the event
+    path, the accumulations."""
+    def make(e):
+        cfg = e.load_config(ROOT / "configs" / f"{recipe}.cfg")
+        data = e.load_dataset(cfg.dataset, seed=cfg.seed)
+        net = e.fold_alpha(e.build_network(
+            cfg.architecture, data.input_shape, data.num_classes, cfg.mode, cfg.timesteps,
+            cfg.tau, cfg.v_th, seed=cfg.seed, affine=cfg.affine))
+        x, y = data.test_x[:EVAL_SAMPLES], data.test_y[:EVAL_SAMPLES]
+
+        def call():
+            acc, report, *counter = getattr(e, evaluate)(net, x, y)
+            return acc, report.as_dict(), [c.accumulations for c in counter]
+        return call
+    return make
+
+
+def _differ(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.shape != b.shape or a.tobytes() != b.tobytes()
+    return a != b
+
+
 def cases(rng):
     """(label, make) pairs; make(engine) returns a call of one kernel on fixed
     operands.
@@ -86,7 +120,8 @@ def cases(rng):
     16->16 and head 16->2. infer-wide: a 128x128 binarized layer. Spiking
     inputs fire at about the trained recipes' rate. The conv gradients run at
     convnet-bars' training batch of 64: the kernel gradient of both convs,
-    the input gradient of the second (the encoder's input needs none).
+    the input gradient of the second (the encoder's input needs none). Last
+    come both evaluations of each recipe (`_evaluation`).
     """
     out = []
     k1 = rng.uniform(-1, 1, (8, 1, 3, 3))
@@ -126,6 +161,9 @@ def cases(rng):
         ("input_grad 8->16 s2 B=64",
          lambda e: lambda: e.numerics.conv2d_input_grad(g2, k2, 2, 1, (8, 8))),
     ]
+    for recipe in RECIPES:
+        out += [(f"{recipe} {evaluate} {EVAL_SAMPLES}", _evaluation(recipe, evaluate))
+                for evaluate in ("evaluate_event_driven", "evaluate_dense")]
     return out
 
 
@@ -145,16 +183,14 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
-    root = Path(__file__).resolve().parent.parent
     engines = {side: load_engine(src, f"reverb_snn_{side}")
                for side, src in (("parent", args.against.resolve() / "src"),
-                                 ("change", root / "src"))}
+                                 ("change", ROOT / "src"))}
     shapes = cases(np.random.default_rng(0))
     for label, make in shapes:
         fns = {side: make(engine) for side, engine in engines.items()}
         outs = {side: fn() for side, fn in fns.items()}
-        if (outs["parent"].shape != outs["change"].shape
-                or outs["parent"].tobytes() != outs["change"].tobytes()):
+        if _differ(outs["parent"], outs["change"]):
             print(f"outputs differ: {label}")
             return 1
         # One call each so far: equal counts if both sides count alike.
@@ -173,9 +209,9 @@ def main(argv=None) -> int:
         pm, cm = (statistics.median(times[side]) for side in ("parent", "change"))
         q1, ratio, q3 = statistics.quantiles(
             [p / c for p, c in zip(times["parent"], times["change"])], n=4)
-        print(f"{label:<26} parent {pm * 1e6:10.1f} us  change {cm * 1e6:10.1f} us  "
+        print(f"{label:<40} parent {pm * 1e6:10.1f} us  change {cm * 1e6:10.1f} us  "
               f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
-    print(f"all outputs byte-equal over {len(shapes)} shapes, event accumulations equal")
+    print(f"all outputs byte-equal over {len(shapes)} cases, event accumulations equal")
     return 0
 
 
