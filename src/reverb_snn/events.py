@@ -50,7 +50,11 @@ class EventList:
     values: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        indices = np.asarray(self.indices)
+        # An empty list reads as float64; any other dtype must be integer.
+        if indices.size and indices.dtype.kind not in "iu":
+            raise DimensionError(f"event indices must be integers, got {indices.dtype}")
+        self.indices = indices.astype(np.int64, copy=False)
         self.values = as_f64(self.values)
         if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
             raise DimensionError("indices and values must be 1-D and of equal length")
@@ -106,12 +110,12 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
         values, rows = events.values[:, None], w.T
         return _accumulate(w.shape[:1], len(events),
                            lambda lo, hi: (values[lo:hi], rows[idx[lo:hi]]),
-                           signed=True, counter=counter)
+                           signed=True, counter=counter).copy()
 
     spikes = np.zeros((1,) + tuple(input_shape), dtype=np.float64)
     spikes.flat[idx] = events.values
     terms = _conv_terms(spikes, w, layer.stride, layer.padding)
-    return _accumulate(*terms, signed=True, counter=counter)[:, 0]
+    return _accumulate(*terms, signed=True, counter=counter)[:, 0].copy()
 
 
 @dataclass

@@ -16,11 +16,31 @@ be deterministic, which numpy's einsum (optimize left off) and np.bincount
 guarantee. `_windows` is the one map from a kernel tap to the input positions
 it meets, as rows of one strided view of the padded batch; the forward, the
 conv event branch and both conv gradients read or write those rows.
+
+Arrays that do not leave a kernel call live in one scratch store
+(`_scratch`): `_accumulate`'s sum and term block for an output larger than
+`_BINCOUNT`, `matmul`'s transposed left operand and the conv's zero-padded
+input. Each slot is one flat float64 buffer, grown to the largest request,
+never shrunk, and viewed in the shape of each call; it starts on a 64-byte
+cache line. Allocated and freed on every call, these arrays made a kernel's
+speed depend on the process's heap layout: where glibc placed them (the same
+rings-tiny eval ran x0.85-0.91 as fast at 16-48 bytes from a cache line)
+and whether freeing them gave pages back to the system, to be faulted in on
+the next call. The slots retain what the largest call of each needed: 576 KiB
+for the rings-tiny recipe's batch-256 eval, and 4.1 MiB for convnet-bars'
+(its padded 8-channel input 1.6 MiB, the encoder's sum and one-term block
+1 MiB each, the head's transposed operand 512 KiB). The rules that make the
+reuse safe:
+- the engine is single-threaded, and no kernel calls a kernel while it holds
+  a slot: no `block` callback of `_accumulate` re-enters one;
+- every array a kernel returns is a fresh allocation, never a view of a slot;
+  `_accumulate`'s sum may be one, so every caller copies it out.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -39,8 +59,24 @@ _BLOCK = 1 << 16
 _BINCOUNT = 256
 
 
+_SCRATCH: dict[str, np.ndarray] = {}  # slot -> its buffer (see the module docstring)
+
+
 def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def _scratch(slot: str, shape) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array of `shape` in the slot's
+    buffer, which grows to fit. The buffer starts on a 64-byte cache line,
+    where malloc aligns to 16 bytes only."""
+    size = math.prod(shape)
+    buf = _SCRATCH.get(slot)
+    if buf is None or buf.size < size:
+        raw = np.empty(size + 7)
+        skip = -raw.ctypes.data % 64 // 8
+        buf = _SCRATCH[slot] = raw[skip : skip + size]
+    return np.ndarray(shape, np.float64, buf)
 
 
 # The cached np.bincount indices (`_bins`, `_tap_rows_index`) stay writeable,
@@ -80,10 +116,20 @@ def _accumulate(shape, count: int, block, signed: bool = False, counter=None) ->
     A `counter` (an `events.OpCounter`) counts each block's accumulations, one
     per nonzero entry of x per term it broadcasts to, and on the multiply path
     (not `signed`) its terms.size products as weight-activation multiplies.
+
+    A larger output's sum and term block are scratch (see the module
+    docstring), so a caller copies the sum before it returns. A smaller
+    output's are not: np.bincount returns a fresh sum per block, and its
+    blocks serve one-sample calls, for which a fresh block costs less.
     """
-    out = np.zeros(shape, dtype=np.float64)
-    step = max(1, _BLOCK // max(out.size, 1))
-    buf = np.empty((min(step, count),) + out.shape)
+    size = math.prod(shape)
+    step = max(1, _BLOCK // max(size, 1))
+    block_shape = (min(step, count),) + tuple(shape)
+    if 0 < size <= _BINCOUNT:
+        out, buf = np.zeros(shape), np.empty(block_shape)
+    else:
+        out, buf = _scratch("sum", shape), _scratch("terms", block_shape)
+        out.fill(0.0)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         x, w = block(lo, hi)
@@ -116,10 +162,13 @@ def matmul(a, b) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     # The (n, m) transpose puts the batch on the inner axis of every term.
-    a_t = np.ascontiguousarray(a.T)
+    a_t = a.T
+    if not a_t.flags.c_contiguous:  # it is when m == 1
+        a_t = _scratch("a_t", a_t.shape)
+        a_t[...] = a.T
     out = _accumulate((b.shape[1], a.shape[0]), a.shape[1],
                       lambda lo, hi: (a_t[lo:hi, None], b[lo:hi, :, None]))
-    return np.ascontiguousarray(out.T)
+    return out.T.copy()
 
 
 def conv_output_size(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -144,13 +193,15 @@ def _check_conv_args(sample_shape, kernels, stride, padding) -> tuple[int, int]:
     return conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding)
 
 
-def pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two trailing (spatial) axes of a (..., H, W) array."""
+def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
+    """The (..., H, W) array x with its two trailing (spatial) axes
+    zero-padded, in scratch (see the module docstring)."""
     if padding == 0:
         return x
-    shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
-    out = np.zeros(shape, dtype=x.dtype)
-    out[..., padding : padding + x.shape[-2], padding : padding + x.shape[-1]] = x
+    h, w = x.shape[-2:]
+    out = _scratch("padded", x.shape[:-2] + (h + 2 * padding, w + 2 * padding))
+    out.fill(0.0)
+    out[..., padding : padding + h, padding : padding + w] = x
     return out
 
 
@@ -185,10 +236,11 @@ def _conv_terms(x: np.ndarray, kernels: np.ndarray, stride: int, padding: int):
     block function (see `_accumulate`) of the conv of the (B, C_in, H, W)
     batch `x`, in ascending (c_in, ky, kx) order. A term's patch is its
     tap's row (`_windows`), so a block gathers its taps' patches with one
-    copy."""
+    copy. The rows view the padded input in scratch: reduce the terms before
+    the next kernel call."""
     out_hw = _check_conv_args(x.shape[1:], kernels, stride, padding)
     c_out, _, k, _ = kernels.shape
-    rows, offsets = _windows(pad_spatial(x, padding), k, stride, out_hw)
+    rows, offsets = _windows(_pad_spatial(x, padding), k, stride, out_hw)
     columns = kernels.transpose(1, 2, 3, 0).reshape(-1, c_out, 1, 1, 1)
 
     def block(lo, hi):
@@ -210,7 +262,8 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
     (C_out, C_in, k, k). Output spatial size is
     floor((H + 2*padding - k) / stride) + 1. Each output element accumulates
     its k*k*C_in products in ascending (c_in, ky, kx) order; the channel-major
-    sum (see `_conv_terms`) is transposed once into a C-contiguous result.
+    sum (see `_conv_terms`) is copied out once, transposed, into a
+    C-contiguous result.
     """
     x = as_f64(inp)
     kernels = as_f64(kernels)
@@ -221,7 +274,7 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
         raise DimensionError(f"conv2d input must be 3-D or 4-D, got {inp.shape}")
     shape, count, block = _conv_terms(x, kernels, stride, padding)
     out = _accumulate(shape, count, block).transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(out[0] if squeeze else out)
+    return (out[0] if squeeze else out).copy()
 
 
 @functools.lru_cache(maxsize=16)
@@ -261,6 +314,6 @@ def conv2d_kernel_grad(inp, grad_out, stride: int, padding: int, k: int) -> np.n
     gather of every tap's row and one einsum."""
     x = as_f64(inp)
     g = as_f64(grad_out)
-    rows, offsets = _windows(pad_spatial(x, padding), k, stride, g.shape[2:])
+    rows, offsets = _windows(_pad_spatial(x, padding), k, stride, g.shape[2:])
     gk = np.einsum("bohw,tbhw->ot", g, rows[offsets])
     return gk.reshape(g.shape[1], x.shape[1], k, k)

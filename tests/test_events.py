@@ -65,6 +65,14 @@ class TestEventList:
         with pytest.raises(DimensionError):
             EventList(indices=indices, values=values)
 
+    @pytest.mark.parametrize("indices", [[0.5, 1.7], [0.0, 1.0], [True, False]])
+    def test_non_integer_indices_are_dimension_error(self, indices):
+        with pytest.raises(DimensionError):
+            EventList(indices=indices, values=[1.0, 2.0])
+
+    def test_empty_list_is_accepted_though_it_reads_as_float(self):
+        assert len(EventList(indices=[], values=[])) == 0
+
     @given(event_lists())
     def test_accepts_exactly_nonzero_values_at_increasing_indices(self, pairs):
         indices, values = pairs
@@ -335,6 +343,38 @@ class TestEventKernelBlocks:
         want, terms = _conv_event_oracle(kernels, spikes, stride, padding)
         assert out.shape == want.shape and out.tobytes() == want.tobytes()
         assert counter.accumulations == terms
+
+
+class TestResultsOwnTheirMemory:
+    """Both event branches reduce through numerics' scratch store; each result
+    must be a fresh array that later calls leave alone. The outputs exceed
+    numerics._BINCOUNT, so the reduction's sum is scratch."""
+
+    @staticmethod
+    def _dense(rng):
+        layer = sign_dense(rng, 300, 40)
+        return addition_only_forward(layer, events_from_spikes(_sparse_spikes(rng, 40, 0.5)))
+
+    @staticmethod
+    def _conv(rng):
+        kernels = binarize_weights(rng.uniform(-1, 1, (16, 8, 3, 3)))
+        layer = BinaryLayer(w_latent=kernels, alpha=np.ones(16), binarize=True, kind=CONV,
+                            stride=1, padding=1)
+        spikes = _sparse_spikes(rng, (8, 8, 8), 0.5)
+        return addition_only_forward(layer, events_from_spikes(spikes), input_shape=spikes.shape)
+
+    @pytest.mark.parametrize("branch", ["_dense", "_conv"])
+    def test_result_survives_later_calls(self, branch):
+        rng = np.random.default_rng(9)
+        first = getattr(self, branch)(rng)
+        kept = first.copy()
+        second = getattr(self, branch)(rng)
+        assert not np.shares_memory(first, second)
+        self._dense(rng), self._conv(rng)
+        matmul(rng.uniform(-1, 1, (4, 40)), rng.uniform(-1, 1, (40, 300)))
+        for buf in numerics._SCRATCH.values():
+            assert not np.shares_memory(first, buf) and not np.shares_memory(second, buf)
+        assert first.tobytes() == kept.tobytes()
 
 
 class TestSparsityMeter:

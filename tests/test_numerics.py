@@ -440,7 +440,9 @@ def _conv_case():
     kern = rng.uniform(-1, 1, (16, 8, 3, 3))
     padded = 8 * 256 * 8 * 10 * 10
     out = 8 * 256 * 16 * 4 * 4
-    return (lambda: conv2d(x, kern, 2, 1)), padded + kern.nbytes, out, _block_bytes(out // 8, 72)
+    block = _block_bytes(out // 8, 72)
+    # A block's gathered patches are C_out times smaller than its terms.
+    return (lambda: conv2d(x, kern, 2, 1)), padded + kern.nbytes, out, block, out + block // 16
 
 
 def _matmul_case():
@@ -448,7 +450,8 @@ def _matmul_case():
     a = rng.uniform(-1, 1, (256, 256))
     b = rng.uniform(-1, 1, (256, 4))
     out = 8 * 256 * 4
-    return (lambda: matmul(a, b)), a.nbytes + b.nbytes, out, _block_bytes(out // 8, 256)
+    # A block's operands are views of a's transposed copy and of b.
+    return (lambda: matmul(a, b)), a.nbytes + b.nbytes, out, _block_bytes(out // 8, 256), out
 
 
 def _event_conv_case():
@@ -459,29 +462,113 @@ def _event_conv_case():
     spikes = rng.uniform(0, 1, (8, 8, 8)) * (rng.random((8, 8, 8)) < 0.6)
     events = events_from_spikes(spikes)
     # The events scattered into a sample, and its padded copy.
-    operands = 8 * 8 * 8 * 8 + 8 * 8 * 10 * 10 + w.nbytes
+    sample = 8 * 8 * 8 * 8
+    operands = sample + 8 * 8 * 10 * 10 + w.nbytes
     out = 8 * 16 * 4 * 4
+    block = _block_bytes(out // 8, 72)
     # With a counter, as eval calls it: the landings are counted from the
-    # blocks the reduction gathers, not from a second gather.
+    # blocks the reduction gathers, not from a second gather. The output has
+    # at most numerics._BINCOUNT elements, so its term block and
+    # np.bincount's sum are fresh, as well as the copy returned.
     return ((lambda: addition_only_forward(layer, events, spikes.shape, OpCounter())),
-            operands, out, _block_bytes(out // 8, 72))
+            operands, out, block, sample + 2 * out + block + block // 16)
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("case", [_conv_case, _matmul_case, _event_conv_case],
                          ids=["conv2d-b256", "matmul-256x256x4", "event-conv-one-sample"])
 def test_transient_memory_is_operands_output_and_one_block(case):
-    """A kernel call allocates at most: its operands as it reads them (conv:
-    the zero-padded input), twice its output (the accumulator and the
-    C-contiguous result), twice one block (a block's terms and the inputs
-    gathered for them, never more than its terms) and 64 KiB for index arrays
-    and small objects. Gathering every tap's patch at once, or building every
-    term of a reduction at once, exceeds it."""
-    call, operands, out, block = case()
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= operands + 2 * out + 2 * block + 64 * 1024
+    """A first call, into an empty scratch store, allocates at most: its
+    operands as it reads them (conv: the zero-padded input), twice its output
+    (the sum and the C-contiguous result), twice one block (a block's terms
+    and the inputs gathered for them, never more than its terms) and 64 KiB
+    for index arrays and small objects. Gathering every tap's patch at once,
+    or building every term of a reduction at once, exceeds it.
+
+    A repeat call at the same shape finds the padded input, the transposed
+    operand and, for an output of more than numerics._BINCOUNT elements, the
+    sum and the term block in scratch. So it allocates at most its fresh
+    arrays (the result, a block's gathered inputs, the event kernel's
+    scattered sample, and a smaller output's np.bincount sum and term block)
+    and 192 KiB: numpy's two 64 KiB iteration buffers of a broadcast
+    multiply, and index arrays and small objects. A large output's term
+    block allocated per call exceeds that."""
+    call, operands, out, block, fresh = case()
+    with mock.patch.dict(numerics._SCRATCH, clear=True):
+        first, repeat = _peak_bytes(call), _peak_bytes(call)
+    assert first <= operands + 2 * out + 2 * block + 64 * 1024
+    assert repeat <= fresh + 192 * 1024
+
+
+# Outputs of more than numerics._BINCOUNT elements, whose sum is scratch, at
+# the shapes where the returned transpose of that sum is already C-contiguous:
+# matmul with m == 1 or n == 1, and conv2d of one (C_in, H, W) sample. The
+# batched conv is the eval batch of 256.
+ALIAS_CASES = {
+    "matmul-1xk@kxn": lambda rng: matmul(rng.uniform(-1, 1, (1, 16)),
+                                         rng.uniform(-1, 1, (16, 300))),
+    "matmul-mxk@kx1": lambda rng: matmul(rng.uniform(-1, 1, (300, 16)),
+                                         rng.uniform(-1, 1, (16, 1))),
+    "conv2d-b1": lambda rng: conv2d(rng.uniform(-1, 1, (8, 8, 8)),
+                                    rng.uniform(-1, 1, (16, 8, 3, 3)), 1, 1),
+    "conv2d-b256": lambda rng: conv2d(rng.uniform(-1, 1, (256, 1, 8, 8)),
+                                      rng.uniform(-1, 1, (8, 1, 3, 3)), 1, 1),
+}
+
+
+def _assert_owns_its_memory(result):
+    for buf in numerics._SCRATCH.values():
+        assert not np.shares_memory(result, buf)
+
+
+@st.composite
+def kernel_calls(draw):
+    """A matmul or conv2d call of a drawn shape on either side of
+    numerics._BINCOUNT, with the term-by-term loop's result."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m, n = draw(st.sampled_from([1, 2, 300])), draw(st.sampled_from([1, 3, 256, 300]))
+        a = rng.uniform(-1, 1, (m, draw(st.integers(0, 12))))
+        b = rng.uniform(-1, 1, (a.shape[1], n))
+        return (lambda: matmul(a, b)), term_loop_matmul(a, b)
+    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    h = draw(st.integers(max(1, k - 2 * padding), 8))
+    x = rng.uniform(-1, 1, (draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, h))
+    kern = rng.uniform(-1, 1, (draw(st.sampled_from([1, 4, 16])), x.shape[1], k, k))
+    want = term_loop_conv(x, kern, stride, padding)
+    if len(x) == 1 and draw(st.booleans()):  # one (C_in, H, W) sample
+        return (lambda: conv2d(x[0], kern, stride, padding)), want[0]
+    return (lambda: conv2d(x, kern, stride, padding)), want
+
+
+class TestResultsOwnTheirMemory:
+    """The kernels keep their transients in numerics' scratch store; every
+    result must still be a fresh array that no later call writes."""
+
+    @pytest.mark.parametrize("call", ALIAS_CASES.values(), ids=ALIAS_CASES.keys())
+    def test_result_survives_later_calls(self, call):
+        rng = np.random.default_rng(5)
+        first = call(rng)
+        kept = first.copy()
+        second = call(rng)
+        assert not np.shares_memory(first, second)
+        for other in ALIAS_CASES.values():
+            other(rng)
+        _assert_owns_its_memory(first)
+        _assert_owns_its_memory(second)
+        _assert_bitwise(first, kept)
+
+    @given(st.lists(kernel_calls(), min_size=2, max_size=6))
+    def test_interleaved_calls_match_term_loops(self, calls):
+        results = [call() for call, _ in calls]
+        for got, (_, want) in zip(results, calls):
+            _assert_owns_its_memory(got)
+            _assert_bitwise(got, want)

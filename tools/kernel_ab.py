@@ -26,13 +26,32 @@ quartiles of the per-round ratio (parent over change, the two timed back to
 back: above 1 means this tree is faster).
 Running it with DIR a second copy of this tree shows how far the ratios stray
 on that host with no change at all.
+
+In-process timing cannot show what depends on the process's heap layout:
+where glibc places each kernel's arrays, and whether freeing them returns
+pages the next call must fault in again. With `--layouts N` the script
+instead runs N rounds per recipe of fresh processes, one child per side, one
+after the other (never two at once), the side that runs first alternating.
+Each child allocates a random pad of 0-256 KiB before it imports its engine,
+which shifts the heap, then times `evaluate_dense` of the recipe's folded
+network on 256 test samples (the call shape of perfbench's dense eval) and
+counts the minor page faults of those calls. The script prints per recipe
+each side's median time and faults per call over the layouts, and the median
+and quartiles of the per-round ratio (parent over change). The children's
+accuracies and `EnergyReport.as_dict()` must be equal, else it exits 1:
+
+    python3 tools/kernel_ab.py --against DIR --layouts 20
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
+import random
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -43,6 +62,9 @@ ROUND_S = 0.02        # each side's timing of one shape in one round lasts at le
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = ("rings-tiny", "convnet-bars")
 EVAL_SAMPLES = 64
+LAYOUT_SAMPLES = 256  # perfbench's dense-eval batch: the recipes' whole test split
+LAYOUT_PAD = 256 * 1024  # largest heap shift a fresh-process child allocates
+CHILD_S = 0.5         # each child times calls for at least this long
 
 
 def load_engine(src: Path, name: str):
@@ -84,10 +106,10 @@ def _event(w, spikes, **conv):
     return make
 
 
-def _evaluation(recipe: str, evaluate: str):
+def _evaluation(recipe: str, evaluate: str, samples: int = EVAL_SAMPLES):
     """Setup of one `evaluate` call (`evaluate_event_driven` or
     `evaluate_dense`) of the recipe's folded network, built with the recipe's
-    seed, on the first EVAL_SAMPLES test samples of the recipe's dataset. The
+    seed, on the first `samples` test samples of the recipe's dataset. The
     call returns the accuracy, the energy report as a dict and, on the event
     path, the accumulations."""
     def make(e):
@@ -96,7 +118,7 @@ def _evaluation(recipe: str, evaluate: str):
         net = e.fold_alpha(e.build_network(
             cfg.architecture, data.input_shape, data.num_classes, cfg.mode, cfg.timesteps,
             cfg.tau, cfg.v_th, seed=cfg.seed, affine=cfg.affine))
-        x, y = data.test_x[:EVAL_SAMPLES], data.test_y[:EVAL_SAMPLES]
+        x, y = data.test_x[:samples], data.test_y[:samples]
 
         def call():
             acc, report, *counter = getattr(e, evaluate)(net, x, y)
@@ -175,14 +197,76 @@ def _per_call(fn, number: int) -> float:
     return (time.perf_counter() - t0) / number
 
 
+def _child(src: Path, recipe: str, pad: int) -> int:
+    """One fresh-process layout: shift the heap by `pad` bytes, import the
+    engine under `src`, then time `evaluate_dense` of the recipe on
+    LAYOUT_SAMPLES samples for at least CHILD_S seconds. Prints one JSON
+    line: the median ms per call, the minor faults per call and the call's
+    result."""
+    shift = bytes(pad)  # noqa: F841 -- held for the process's life
+    call = _evaluation(recipe, "evaluate_dense", LAYOUT_SAMPLES)(load_engine(src, "reverb_snn"))
+    result = call()
+    times, faults, t_end = [], 0, time.perf_counter() + CHILD_S
+    while len(times) < 5 or time.perf_counter() < t_end:
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+    print(json.dumps({"ms": statistics.median(times) * 1e3, "faults": faults / len(times),
+                      "result": repr(result)}))
+    return 0
+
+
+def _layouts(srcs: dict, n: int) -> int:
+    """The fresh-process, layout-randomized mode (see the module docstring)."""
+    rng = random.Random()
+    for recipe in RECIPES:
+        runs = {side: [] for side in srcs}
+        for r in range(n):
+            for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+                argv = [sys.executable, __file__, "--child", str(srcs[side]), "--recipe",
+                        recipe, "--pad", str(rng.randrange(LAYOUT_PAD + 1))]
+                done = subprocess.run(argv, capture_output=True, text=True, check=True)
+                runs[side].append(json.loads(done.stdout.splitlines()[-1]))
+            if runs["parent"][-1]["result"] != runs["change"][-1]["result"]:
+                print(f"outputs differ: {recipe} evaluate_dense {LAYOUT_SAMPLES}")
+                return 1
+        ms = {side: [run["ms"] for run in runs[side]] for side in runs}
+        q1, ratio, q3 = statistics.quantiles(
+            [p / c for p, c in zip(ms["parent"], ms["change"])], n=4)
+        line = "  ".join(
+            f"{side} {statistics.median(ms[side]):7.3f} ms "
+            f"{statistics.median(run['faults'] for run in runs[side]):8.1f} faults"
+            for side in runs)
+        print(f"{recipe} evaluate_dense {LAYOUT_SAMPLES}, {n} layouts: {line}  "
+              f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
+    print(f"all outputs equal over {n} layouts of {len(RECIPES)} recipes")
+    return 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--against", type=Path, metavar="DIR", required=True,
+    p.add_argument("--against", type=Path, metavar="DIR",
                    help="checkout whose DIR/src engine is the parent side")
     p.add_argument("--rounds", type=int, default=15)
+    p.add_argument("--layouts", type=int, metavar="N",
+                   help="time dense eval in N fresh-process layouts per side and recipe")
+    p.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--recipe", choices=RECIPES, help=argparse.SUPPRESS)
+    p.add_argument("--pad", type=int, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
+    if args.child is not None:
+        return _child(args.child, args.recipe, args.pad)
+    if args.against is None:
+        p.error("--against is required")
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
+    if args.layouts is not None:
+        if args.layouts < 2:
+            p.error("--layouts must be at least 2")
+        return _layouts({"parent": args.against.resolve() / "src", "change": ROOT / "src"},
+                        args.layouts)
     engines = {side: load_engine(src, f"reverb_snn_{side}")
                for side, src in (("parent", args.against.resolve() / "src"),
                                  ("change", ROOT / "src"))}
