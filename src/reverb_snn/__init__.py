@@ -14,8 +14,7 @@ from .events import (EnergyReport, EventList, OpCounter, SparsityMeter,
                      event_forward, events_from_spikes, layer_additions)
 from .layers import (BinaryLayer, alpha_grad, binarize_weights, clip_latent,
                      effective_weights, ste_weight_grad)
-from .network import (ARCHITECTURES, MODES, Network, build_convnet, build_mlp,
-                      build_network)
+from .network import ARCHITECTURES, MODES, Network, build_network
 from .neuron import (FireMode, NeuronParams, fire, fire_backward, fire_binary,
                      fire_real, fire_real_scaled, membrane_update)
 from .numerics import conv2d, matmul

@@ -21,7 +21,7 @@ from .datasets import load_dataset
 from .errors import (DimensionError, EngineError, ModeError, ParseError,
                      StateError, TrainingError)
 from .events import evaluate_dense, evaluate_event_driven
-from .network import MODE_LEARNABLE, MODES, build_mlp, build_network
+from .network import MODE_LEARNABLE, MODES, build_network
 from .reparam import fold_alpha, verify_equivalence
 from .training import TrainConfig, gradient_check, train
 
@@ -131,7 +131,7 @@ def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     seed = args.seed if args.seed is not None else cfg.seed
     # Tiny 6-4-4-4 net, T = 2: real encoder, binarized firing middle, real head.
-    net = build_mlp((6,), 4, MODE_LEARNABLE, 2, cfg.tau, cfg.v_th, seed, hidden=4)
+    net = build_network("d4 d4", (6,), 4, MODE_LEARNABLE, 2, cfg.tau, cfg.v_th, seed)
     rng = np.random.default_rng(seed)
     batch = rng.uniform(0.0, 1.0, size=(8,) + tuple(net.input_shape))
     labels = rng.integers(0, net.num_classes, size=8)

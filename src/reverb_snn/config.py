@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ParseError
-from .network import ARCHITECTURES, MODES
+from .network import MODES, parse_spec
 from .neuron import NeuronParams
 from .training import TrainConfig
 
@@ -42,12 +42,12 @@ class RunConfig:
 
     def __post_init__(self):
         rules = (("mode", self.mode in MODES, f"one of {MODES}"),
-                 ("architecture", self.architecture in ARCHITECTURES, f"one of {ARCHITECTURES}"),
                  ("timesteps", self.timesteps >= 1, ">= 1"), ("batch", self.batch >= 1, ">= 1"),
                  ("epochs", self.epochs >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"))
         for name, ok, rule in rules:
             if not ok:
                 raise ParseError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        parse_spec(self.architecture)
         # The classes that own tau, v_th, lr0 and momentum check them and name the key.
         try:
             NeuronParams(tau=self.tau, v_th=self.v_th)

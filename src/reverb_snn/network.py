@@ -1,4 +1,4 @@
-"""Network container and the built-in desk-scale architectures.
+"""Network container and the one builder, from a layer spec.
 
 A network is an ordered layer stack with one NeuronParams per layer and a
 fixed number of timesteps. Inputs are presented identically at every step
@@ -9,20 +9,27 @@ fixed number of timesteps. Inputs are presented identically at every step
 * reverb-learnable -- binary middle weights with learnable per-channel
                       amplitude, real spikes.
 
-The first (rate-encoding) and last (classifier) layers always keep real
-weights; only middle layers are ever binarized.
+`build_network` takes a spec: space-separated hidden-layer tokens,
+
+* `d<width>`                        -- a dense layer;
+* `c<channels>[s<stride>][p<padding>]` -- a 3x3 conv, stride 1 and padding 1
+                                       unless given.
+
+Convs come before dense layers. The first token is the (rate-encoding)
+encoder and the dense classifier head of `num_classes` is implied; both
+always keep real weights, and only the middle tokens are ever binarized.
+`ARCHITECTURES` names three specs: mlp-tiny, mlp-small and convnet-small.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ParseError
 from .layers import CONV, DENSE, BinaryLayer
 from .neuron import FireMode, NeuronParams
 from .numerics import _check_conv_args
@@ -32,7 +39,8 @@ MODE_REVERB = "reverb"
 MODE_LEARNABLE = "reverb-learnable"
 MODES = (MODE_VANILLA, MODE_REVERB, MODE_LEARNABLE)
 
-ARCHITECTURES = ("mlp-tiny", "mlp-small", "convnet-small")
+# Built-in aliases for layer specs (see the module docstring).
+ARCHITECTURES = {"mlp-tiny": "d16 d16 d16", "mlp-small": "d128 d128", "convnet-small": "c8 c16s2"}
 
 
 @dataclass
@@ -95,7 +103,7 @@ def _init_weights(rng: np.random.Generator, shape: tuple, binarize: bool) -> np.
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _make_layer(rng, shape, kind, mode, middle, stride=1, padding=0, affine=False) -> BinaryLayer:
+def _make_layer(rng, shape, kind, mode, middle, stride, padding, affine) -> BinaryLayer:
     binarize = middle and mode in (MODE_REVERB, MODE_LEARNABLE)
     learn_alpha = binarize and mode == MODE_LEARNABLE
     w = _init_weights(rng, shape, binarize)
@@ -114,61 +122,37 @@ def _make_layer(rng, shape, kind, mode, middle, stride=1, padding=0, affine=Fals
     return layer
 
 
-def _neuron(mode: str, tau: float, v_th: float) -> NeuronParams:
-    fire_mode = FireMode.BINARY if mode == MODE_VANILLA else FireMode.REAL
-    return NeuronParams(tau=tau, v_th=v_th, mode=fire_mode)
+def _parse_token(token: str) -> tuple[str, int, int, int] | None:
+    """(kind, width, stride, padding) of one spec token; None if it is not one."""
+    if token[:1] == "d" and token[1:].isdecimal():
+        return DENSE, int(token[1:]), 1, 0
+    rest, has_p, padding = token[1:].partition("p")
+    channels, has_s, stride = rest.partition("s")
+    fields = (channels, stride if has_s else "1", padding if has_p else "1")
+    if token[:1] == "c" and all(f.isdecimal() for f in fields):
+        return (CONV, *map(int, fields))
+    return None
 
 
-def build_mlp(
-    input_shape,
-    num_classes: int,
-    mode: str,
-    timesteps: int,
-    tau: float = 0.25,
-    v_th: float = 0.0,
-    seed: int = 0,
-    hidden: int = 128,
-    middle_layers: int = 1,
-    affine: bool = False,
-) -> Network:
-    """Encoder dense -> one or more binarized dense middles -> classifier."""
-    _check_mode(mode)
-    rng = np.random.default_rng(seed)
-    n_in = int(np.prod(input_shape))
-    layers = [_make_layer(rng, (hidden, n_in), DENSE, mode, middle=False)]
-    for _ in range(middle_layers):
-        layers.append(_make_layer(rng, (hidden, hidden), DENSE, mode, middle=True, affine=affine))
-    layers.append(_make_layer(rng, (num_classes, hidden), DENSE, mode, middle=False))
-    neurons = [_neuron(mode, tau, v_th) for _ in layers]
-    return Network(layers, neurons, timesteps, tuple(input_shape), num_classes, mode)
-
-
-def build_convnet(
-    input_shape,
-    num_classes: int,
-    mode: str,
-    timesteps: int,
-    tau: float = 0.25,
-    v_th: float = 0.0,
-    seed: int = 0,
-    channels: tuple[int, int] = (8, 16),
-    affine: bool = False,
-) -> Network:
-    """Two conv blocks (encoder, binarized) followed by a dense classifier."""
-    _check_mode(mode)
-    if len(input_shape) != 3:
-        raise DimensionError(f"convnet input must be (C, H, W), got {input_shape}")
-    rng = np.random.default_rng(seed)
-    c_in = input_shape[0]
-    c1, c2 = channels
-    layers = [
-        _make_layer(rng, (c1, c_in, 3, 3), CONV, mode, middle=False, stride=1, padding=1),
-        _make_layer(rng, (c2, c1, 3, 3), CONV, mode, middle=True, stride=2, padding=1, affine=affine),
-    ]
-    fan_in = math.prod(functools.reduce(_output_shape, layers, tuple(input_shape)))
-    layers.append(_make_layer(rng, (num_classes, fan_in), DENSE, mode, middle=False))
-    neurons = [_neuron(mode, tau, v_th) for _ in layers]
-    return Network(layers, neurons, timesteps, tuple(input_shape), num_classes, mode)
+def parse_spec(arch: str) -> list[tuple[str, int, int, int]]:
+    """The hidden layers of `arch`, an alias or a spec, as (kind, width,
+    stride, padding); ParseError naming the first bad token."""
+    tokens = ARCHITECTURES.get(arch, arch).split()
+    if not tokens:
+        raise ParseError(f"architecture {arch!r} has no layers")
+    hidden = []
+    for token in tokens:
+        layer = _parse_token(token)
+        if layer is None:
+            raise ParseError(f"architecture {arch!r}: unknown token {token!r}; expected "
+                             "d<width> or c<channels>[s<stride>][p<padding>]")
+        if not (layer[1] and layer[2]):
+            raise ParseError(f"architecture {arch!r}: token {token!r} needs a width "
+                             "and stride of at least 1")
+        if layer[0] == CONV and hidden and hidden[-1][0] == DENSE:
+            raise ParseError(f"architecture {arch!r}: conv token {token!r} after a dense token")
+        hidden.append(layer)
+    return hidden
 
 
 def build_network(
@@ -182,16 +166,20 @@ def build_network(
     seed: int = 0,
     affine: bool = False,
 ) -> Network:
-    if arch == "mlp-small":
-        return build_mlp(input_shape, num_classes, mode, timesteps, tau, v_th, seed, affine=affine)
-    if arch == "mlp-tiny":
-        return build_mlp(input_shape, num_classes, mode, timesteps, tau, v_th, seed,
-                         hidden=16, middle_layers=2, affine=affine)
-    if arch == "convnet-small":
-        return build_convnet(input_shape, num_classes, mode, timesteps, tau, v_th, seed, affine=affine)
-    raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-
-
-def _check_mode(mode: str) -> None:
+    """The encoder, middle layers and dense head of `num_classes` that the
+    spec or alias `arch` names. Each layer's fan-in is the previous layer's
+    output shape, and the weights are drawn layer by layer from one seeded
+    stream."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    specs = parse_spec(arch) + [(DENSE, num_classes, 1, 0)]
+    rng = np.random.default_rng(seed)
+    shape, layers = tuple(input_shape), []
+    for i, (kind, width, stride, padding) in enumerate(specs):
+        w_shape = (width, shape[0], 3, 3) if kind == CONV else (width, math.prod(shape))
+        middle = 0 < i < len(specs) - 1
+        layers.append(_make_layer(rng, w_shape, kind, mode, middle, stride, padding, affine))
+        shape = _output_shape(shape, layers[-1])
+    fire_mode = FireMode.BINARY if mode == MODE_VANILLA else FireMode.REAL
+    neurons = [NeuronParams(tau=tau, v_th=v_th, mode=fire_mode) for _ in layers]
+    return Network(layers, neurons, timesteps, tuple(input_shape), num_classes, mode)

@@ -13,7 +13,7 @@ from reverb_snn.events import (OpCounter, addition_only_forward,
                                estimate_energy, events_from_spikes)
 from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, MODE_VANILLA,
-                                build_convnet, build_mlp)
+                                build_network)
 from reverb_snn.neuron import FireMode, NeuronParams, fire_real
 from reverb_snn.numerics import conv2d, matmul
 from reverb_snn.reparam import fold_alpha, verify_equivalence
@@ -39,14 +39,10 @@ def test_criterion_2_reparameterization_equivalence():
     worst = 0.0
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        for arch, shape in (("mlp", (12,)), ("conv", (1, 8, 8))):
+        for arch, shape in (("d24 d24", (12,)), ("c8 c16s2", (1, 8, 8))):
             for v_th in (0.0, 0.25):
-                if arch == "mlp":
-                    net = build_mlp(shape, 3, MODE_LEARNABLE, timesteps=3,
-                                    v_th=v_th, seed=seed, hidden=24)
-                else:
-                    net = build_convnet(shape, 3, MODE_LEARNABLE, timesteps=3,
-                                        v_th=v_th, seed=seed)
+                net = build_network(arch, shape, 3, MODE_LEARNABLE, timesteps=3,
+                                    v_th=v_th, seed=seed)
                 for layer in net.layers:
                     if layer.binarize:
                         layer.alpha[:] = rng.uniform(0.3, 1.8, layer.alpha.shape)
@@ -57,7 +53,7 @@ def test_criterion_2_reparameterization_equivalence():
 
     # dyadic (power-of-two) amplitudes at v_th = 0: bitwise equality
     rng = np.random.default_rng(99)
-    net = build_mlp((12,), 3, MODE_LEARNABLE, timesteps=3, v_th=0.0, seed=99, hidden=24)
+    net = build_network("d24 d24", (12,), 3, MODE_LEARNABLE, timesteps=3, v_th=0.0, seed=99)
     for layer in net.layers:
         if layer.binarize:
             layer.alpha[:] = rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], layer.alpha.shape)
@@ -76,7 +72,7 @@ def test_criterion_3_gradient_oracle():
     worst = 0.0
     for seed in (0, 1, 2):
         # 6-4-4-4: 12 neurons, T = 2, one binarized firing middle layer
-        net = build_mlp((6,), 4, MODE_LEARNABLE, timesteps=2, seed=seed, hidden=4)
+        net = build_network("d4 d4", (6,), 4, MODE_LEARNABLE, timesteps=2, seed=seed)
         rng = np.random.default_rng(seed)
         batch = rng.uniform(0, 1, (8, 6))
         labels = rng.integers(0, 4, 8)
@@ -129,14 +125,13 @@ def test_criterion_4_fails_on_a_multiplying_kernel(monkeypatch):
     assert not ok and "sparse inputs: True;" in detail
 
 
-ABLATION = dict(hidden=16, middle_layers=2, epochs=100, lr0=0.03, batch=64)
+ABLATION = dict(arch="d16 d16 d16", epochs=100, lr0=0.03, batch=64)
 
 
 def _train_mode(mode, T, seed):
     ds = rings(seed=seed)
-    net = build_mlp(ds.input_shape, ds.num_classes, mode, timesteps=T,
-                    seed=seed, hidden=ABLATION["hidden"],
-                    middle_layers=ABLATION["middle_layers"])
+    net = build_network(ABLATION["arch"], ds.input_shape, ds.num_classes, mode,
+                        timesteps=T, seed=seed)
     cfg = TrainConfig(epochs=ABLATION["epochs"], batch_size=ABLATION["batch"],
                       lr0=ABLATION["lr0"], momentum=0.9, seed=seed)
     net, metrics = train(net, (ds.train_x, ds.train_y), cfg)
@@ -205,8 +200,8 @@ def test_criterion_6_firing_reset_invariant_suite():
 
 def test_criterion_7_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    net = build_mlp((10,), 3, MODE_LEARNABLE, timesteps=2, v_th=0.25,
-                    seed=3, hidden=12)
+    net = build_network("d12 d12", (10,), 3, MODE_LEARNABLE, timesteps=2, v_th=0.25,
+                        seed=3)
     for layer in net.layers:
         if layer.binarize:
             layer.alpha[:] = rng.uniform(0.4, 1.6, layer.alpha.shape)

@@ -9,7 +9,7 @@ import pytest
 from reverb_snn.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from reverb_snn.errors import ParseError
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, MODE_VANILLA,
-                                Network, build_convnet, build_mlp)
+                                Network, build_network)
 from reverb_snn.neuron import FireMode
 from reverb_snn.reparam import fold_alpha, verify_equivalence
 
@@ -38,7 +38,7 @@ def assert_networks_bitwise_equal(a, b):
 
 @pytest.mark.parametrize("mode", [MODE_VANILLA, MODE_REVERB, MODE_LEARNABLE])
 def test_trained_form_round_trip(tmp_path, mode):
-    net = build_mlp((9,), 3, mode, timesteps=2, seed=1)
+    net = build_network("d128 d128", (9,), 3, mode, timesteps=2, seed=1)
     path = tmp_path / "net.rvrb"
     save_checkpoint(net, path)
     assert_networks_bitwise_equal(net, load_checkpoint(path))
@@ -47,7 +47,7 @@ def test_trained_form_round_trip(tmp_path, mode):
 @pytest.mark.parametrize("v_th", [0.0, 0.25])
 def test_inference_form_round_trip(tmp_path, v_th):
     rng = np.random.default_rng(2)
-    net = build_convnet((1, 8, 8), 4, MODE_LEARNABLE, timesteps=2, v_th=v_th, seed=2)
+    net = build_network("c8 c16s2", (1, 8, 8), 4, MODE_LEARNABLE, timesteps=2, v_th=v_th, seed=2)
     for layer in net.layers:
         if layer.binarize:
             layer.alpha[:] = rng.uniform(0.3, 1.7, layer.alpha.shape)
@@ -62,7 +62,7 @@ def test_inference_form_round_trip(tmp_path, v_th):
 
 
 def test_inference_payload_is_one_bit_packed(tmp_path):
-    net = build_mlp((16,), 2, MODE_REVERB, timesteps=2, seed=3, hidden=24)
+    net = build_network("d24 d24", (16,), 2, MODE_REVERB, timesteps=2, seed=3)
     folded = fold_alpha(net)
     trained_path = tmp_path / "trained.rvrb"
     folded_path = tmp_path / "folded.rvrb"
@@ -76,7 +76,7 @@ def test_inference_payload_is_one_bit_packed(tmp_path):
 
 
 def test_inference_form_weights_are_sign_only(tmp_path):
-    net = build_mlp((8,), 2, MODE_LEARNABLE, timesteps=2, seed=4, hidden=10)
+    net = build_network("d10 d10", (8,), 2, MODE_LEARNABLE, timesteps=2, seed=4)
     folded = fold_alpha(net)
     path = tmp_path / "x.rvrb"
     save_checkpoint(folded, path)
@@ -87,7 +87,7 @@ def test_inference_form_weights_are_sign_only(tmp_path):
 
 
 def test_magic_bytes_present(tmp_path):
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
     path = tmp_path / "m.rvrb"
     save_checkpoint(net, path)
     assert path.read_bytes()[:4] == MAGIC
@@ -101,7 +101,7 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_truncated_file_reports_offset(tmp_path):
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
     path = tmp_path / "t.rvrb"
     save_checkpoint(net, path)
     data = path.read_bytes()
@@ -112,7 +112,7 @@ def test_truncated_file_reports_offset(tmp_path):
 
 
 def test_trailing_garbage_rejected(tmp_path):
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
     path = tmp_path / "g.rvrb"
     save_checkpoint(net, path)
     path.write_bytes(path.read_bytes() + b"\x00\x01")
@@ -128,7 +128,7 @@ def _reseal(data) -> bytes:
 
 
 def test_trailer_is_crc32_of_the_rest(tmp_path):
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
     path = tmp_path / "c.rvrb"
     save_checkpoint(net, path)
     data = path.read_bytes()
@@ -137,7 +137,7 @@ def test_trailer_is_crc32_of_the_rest(tmp_path):
 
 
 def test_checksum_mismatch_is_parse_error(tmp_path):
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
     path = tmp_path / "c.rvrb"
     save_checkpoint(net, path)
     data = bytearray(path.read_bytes())
@@ -149,7 +149,7 @@ def test_checksum_mismatch_is_parse_error(tmp_path):
 
 
 def test_version_1_file_is_unsupported(tmp_path):
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
     path = tmp_path / "v1.rvrb"
     save_checkpoint(net, path)
     # A version-1 file: the same fields without the trailer.
@@ -161,7 +161,7 @@ def test_version_1_file_is_unsupported(tmp_path):
 
 
 def test_affine_round_trip(tmp_path):
-    net = build_mlp((6,), 2, MODE_LEARNABLE, timesteps=2, seed=5, affine=True, hidden=8)
+    net = build_network("d8 d8", (6,), 2, MODE_LEARNABLE, timesteps=2, seed=5, affine=True)
     rng = np.random.default_rng(5)
     net.layers[1].affine_gamma[:] = rng.uniform(0.5, 2.0, 8)
     net.layers[1].affine_beta[:] = rng.normal(0, 0.1, 8)
@@ -172,7 +172,7 @@ def test_affine_round_trip(tmp_path):
 
 def test_mixed_tau_rejected(tmp_path):
     from reverb_snn.errors import StateError
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
     net.neurons[1].tau = 0.5  # format assumes a network-wide constant
     with pytest.raises(StateError):
         save_checkpoint(net, tmp_path / "x.rvrb")
@@ -181,7 +181,7 @@ def test_mixed_tau_rejected(tmp_path):
 def test_per_layer_threshold_rejected(tmp_path):
     # One stored v_th would silently reload every layer at the same threshold.
     from reverb_snn.errors import StateError
-    net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, hidden=6)
+    net = build_network("d6 d6", (4,), 2, MODE_REVERB, timesteps=1)
     net.neurons[1].v_th = 0.5
     with pytest.raises(StateError):
         save_checkpoint(net, tmp_path / "x.rvrb")
@@ -189,7 +189,7 @@ def test_per_layer_threshold_rejected(tmp_path):
 
 def test_scaled_mode_preserved(tmp_path):
     rng = np.random.default_rng(6)
-    net = build_mlp((6,), 2, MODE_LEARNABLE, timesteps=2, v_th=0.25, seed=6, hidden=8)
+    net = build_network("d8 d8", (6,), 2, MODE_LEARNABLE, timesteps=2, v_th=0.25, seed=6)
     net.layers[1].alpha[:] = rng.uniform(0.4, 1.6, 8)
     folded = fold_alpha(net)
     path = tmp_path / "s.rvrb"
@@ -203,9 +203,9 @@ def test_scaled_mode_preserved(tmp_path):
 
 
 TINY = {
-    "mlp": lambda: build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2, affine=True),
-    "convnet": lambda: build_convnet((1, 4, 4), 2, MODE_LEARNABLE, timesteps=1,
-                                     channels=(1, 2), affine=True),
+    "mlp": lambda: build_network("d2 d2", (2,), 2, MODE_LEARNABLE, timesteps=1, affine=True),
+    "convnet": lambda: build_network("c1 c2s2", (1, 4, 4), 2, MODE_LEARNABLE, timesteps=1,
+                                     affine=True),
 }
 
 
@@ -259,7 +259,7 @@ def test_every_resealed_bit_flip_loads_or_raises_parse_error(tmp_path, form, arc
 
 
 def test_zero_dim_weights_are_parse_error(tmp_path):
-    net = build_mlp((2,), 2, MODE_REVERB, timesteps=1, hidden=2)
+    net = build_network("d2 d2", (2,), 2, MODE_REVERB, timesteps=1)
     path = tmp_path / "z.rvrb"
     save_checkpoint(net, path)
     data = bytearray(path.read_bytes())
@@ -275,7 +275,7 @@ def test_zero_dim_weights_are_parse_error(tmp_path):
 
 @pytest.mark.parametrize("field,value", [("timesteps", 0), ("alpha", -1.0), ("tau", 2.0)])
 def test_broken_invariant_is_parse_error(tmp_path, field, value):
-    net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2)
+    net = build_network("d2 d2", (2,), 2, MODE_LEARNABLE, timesteps=1)
     if field == "timesteps":
         net.timesteps = value
     elif field == "alpha":
@@ -291,7 +291,7 @@ def test_broken_invariant_is_parse_error(tmp_path, field, value):
 
 @pytest.mark.parametrize("num_classes", [1, 7])
 def test_num_classes_other_than_head_outputs_is_parse_error(tmp_path, num_classes):
-    net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2)
+    net = build_network("d2 d2", (2,), 2, MODE_LEARNABLE, timesteps=1)
     net.num_classes = num_classes
     path = tmp_path / "n.rvrb"
     save_checkpoint(net, path)

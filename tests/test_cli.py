@@ -83,6 +83,20 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "x.rvrb")]) == 3
 
+    def test_layer_spec_architecture_trains(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", architecture="d16 d16 d16")
+        out = tmp_path / "spec.rvrb"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        net = load_checkpoint(out)
+        assert [layer.w_latent.shape for layer in net.layers] == [
+            (16, 16), (16, 16), (16, 16), (2, 16)]
+        assert [layer.binarize for layer in net.layers] == [False, True, True, False]
+
+    def test_conv_spec_on_flat_data_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", architecture="c4 d8")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.rvrb")]) == 4
+        assert "(C_in, H, W)" in capsys.readouterr().err
+
     def test_bad_config_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus_key = 1\n")
@@ -100,7 +114,8 @@ class TestTrain:
         ("tau", "2"), ("tau", "-0.25"), ("tau", "nan"), ("v_th", "nan"), ("v_th", "inf"),
         ("lr0", "-1"), ("lr0", "inf"), ("lr0", "nan"), ("momentum", "1"), ("momentum", "-0.1"),
         ("momentum", "nan"), ("timesteps", "0"), ("batch", "0"), ("epochs", "-1"),
-        ("seed", "-1"),
+        ("seed", "-1"), ("architecture", ""), ("architecture", "d16 q4"),
+        ("architecture", "d0"), ("architecture", "c4s0"), ("architecture", "d8 c4"),
     ])
     def test_out_of_range_config_value_is_parse_error(self, tmp_path, key, value, capsys):
         cfg = write_config(tmp_path / "run.cfg", **{key: value})
@@ -202,7 +217,7 @@ class TestEmptyTestSplit:
     @pytest.mark.parametrize("folded", [False, True])
     def test_train_and_eval_are_parse_errors(self, tmp_path, folded, capsys):
         from reverb_snn.checkpoint import save_checkpoint
-        from reverb_snn.network import MODE_LEARNABLE, build_mlp
+        from reverb_snn.network import MODE_LEARNABLE
         from reverb_snn.reparam import fold_alpha
 
         csvs = tmp_path / "csv"
@@ -213,7 +228,7 @@ class TestEmptyTestSplit:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.rvrb")]) == 2
         assert "no test samples" in capsys.readouterr().err
 
-        net = build_mlp((2,), 2, MODE_LEARNABLE, timesteps=1, hidden=2)
+        net = build_network("d2 d2", (2,), 2, MODE_LEARNABLE, timesteps=1)
         ckpt = tmp_path / "net.rvrb"
         save_checkpoint(fold_alpha(net) if folded else net, ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csvs)]) == 2
@@ -279,9 +294,9 @@ class TestEvalAndEnergy:
 
     @pytest.mark.parametrize("command", ["eval", "energy"])
     def test_network_without_middle_layer(self, tmp_path, command, capsys):
-        from reverb_snn import build_mlp, fold_alpha, save_checkpoint
+        from reverb_snn import fold_alpha, save_checkpoint
 
-        net = build_mlp((8,), 2, "reverb", 2, middle_layers=0)
+        net = build_network("d128", (8,), 2, "reverb", 2)
         save_checkpoint(net, tmp_path / "trained.rvrb")
         save_checkpoint(fold_alpha(net), tmp_path / "folded.rvrb")
         for name in ("trained.rvrb", "folded.rvrb"):

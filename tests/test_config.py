@@ -69,6 +69,20 @@ def test_bad_architecture_rejected():
         parse_config_text("architecture = resnet50")
 
 
+def test_layer_spec_architecture_accepted():
+    cfg = parse_config_text("architecture = c4 c8s2p0 d16 d8  # two convs, two dense")
+    assert cfg.architecture == "c4 c8s2p0 d16 d8"
+
+
+@pytest.mark.parametrize("spec, token", [
+    ("", "no layers"), ("d16 x3", "'x3'"), ("d0", "'d0'"), ("c4 c0s2", "'c0s2'"),
+    ("c4s0", "'c4s0'"), ("d8 c4", "'c4'"), ("c4p2s1", "'c4p2s1'"), ("d8s2", "'d8s2'"),
+])
+def test_bad_layer_spec_names_the_token(spec, token):
+    with pytest.raises(ParseError, match=token):
+        parse_config_text(f"architecture = {spec}")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ParseError):
         parse_config_text("just some words")

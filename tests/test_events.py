@@ -17,7 +17,7 @@ from reverb_snn.events import (EventList, OpCounter, SparsityMeter,
                                event_forward, events_from_spikes,
                                layer_additions)
 from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
-from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, build_convnet, build_mlp
+from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, build_network
 from reverb_snn.numerics import conv2d, matmul
 from reverb_snn.reparam import fold_alpha
 from reverb_snn.training import forward_pass
@@ -402,12 +402,12 @@ class TestSparsityMeter:
 
 class TestOperationCounts:
     def test_dense_additions_closed_form(self):
-        net = build_mlp((10,), 3, MODE_REVERB, timesteps=2, seed=0, hidden=16)
+        net = build_network("d16 d16", (10,), 3, MODE_REVERB, timesteps=2, seed=0)
         # middle layer is 16 -> 16
         assert layer_additions(net) == {1: 16 * 16}
 
     def test_conv_additions_match_loop_enumeration(self):
-        net = build_convnet((1, 8, 8), 4, MODE_REVERB, timesteps=2, seed=0)
+        net = build_network("c8 c16s2", (1, 8, 8), 4, MODE_REVERB, timesteps=2, seed=0)
         mid = net.layers[1]
         c_out, c_in, k, _ = mid.w_latent.shape
         # enumerate output positions x kernel taps, the equivalent dense count
@@ -423,25 +423,22 @@ class TestOperationCounts:
         assert layer_additions(net) == {1: count}
 
     def test_flops_encoder_and_head_per_timestep(self):
-        net = build_mlp((10,), 3, MODE_REVERB, timesteps=2, seed=0, hidden=16)
+        net = build_network("d16 d16", (10,), 3, MODE_REVERB, timesteps=2, seed=0)
         per_step = 10 * 16 + 16 * 3
         assert count_flops(net) == per_step * 2
-        assert count_flops(build_mlp((10,), 3, MODE_REVERB, timesteps=5, seed=0,
-                                     hidden=16)) == per_step * 5
+        assert count_flops(build_network("d16 d16", (10,), 3, MODE_REVERB, timesteps=5,
+                                         seed=0)) == per_step * 5
 
 
 def _tiny_net(mode, conv, stride, padding, seed):
     """A folded tiny MLP, or a tiny convnet whose middle conv has the given
     stride and padding, with random amplitudes on its binarized layers."""
-    rng = np.random.default_rng(seed)
     if not conv:
-        net = build_mlp((5,), 2, mode, timesteps=2, seed=seed, hidden=6, middle_layers=2)
+        net = build_network("d6 d6 d6", (5,), 2, mode, timesteps=2, seed=seed)
     else:
-        net = build_convnet((1, 6, 6), 2, mode, timesteps=2, seed=seed, channels=(2, 3))
-        net.layers[1].stride, net.layers[1].padding = stride, padding
-        fan_in = 3 * numerics.conv_output_size(6, 3, stride, padding) ** 2
-        net.layers[2] = BinaryLayer(w_latent=rng.uniform(-1, 1, (2, fan_in)),
-                                    alpha=np.ones(2), binarize=False, kind=DENSE)
+        net = build_network(f"c2 c3s{stride}p{padding}", (1, 6, 6), 2, mode, timesteps=2,
+                            seed=seed)
+    rng = np.random.default_rng(seed)
     for layer in net.layers:
         if layer.learn_alpha:
             layer.alpha[:] = rng.uniform(0.3, 1.5, layer.alpha.shape)
@@ -511,7 +508,7 @@ class TestEstimateEnergy:
 class TestEventForward:
     def test_folded_event_path_bitwise_equals_dense_forward(self):
         rng = np.random.default_rng(7)
-        net = build_mlp((6,), 3, MODE_LEARNABLE, timesteps=3, seed=7, hidden=12)
+        net = build_network("d12 d12", (6,), 3, MODE_LEARNABLE, timesteps=3, seed=7)
         for layer in net.layers:
             if layer.binarize:
                 layer.alpha[:] = rng.uniform(0.3, 1.5, layer.alpha.shape)
@@ -525,7 +522,7 @@ class TestEventForward:
 
     def test_convnet_event_path_bitwise(self):
         rng = np.random.default_rng(8)
-        net = build_convnet((1, 8, 8), 4, MODE_LEARNABLE, timesteps=2, seed=8)
+        net = build_network("c8 c16s2", (1, 8, 8), 4, MODE_LEARNABLE, timesteps=2, seed=8)
         for layer in net.layers:
             if layer.binarize:
                 layer.alpha[:] = rng.uniform(0.3, 1.5, layer.alpha.shape)
@@ -539,7 +536,7 @@ class TestEventForward:
 
     def test_evaluate_event_driven_audit_and_report(self):
         rng = np.random.default_rng(9)
-        net = build_mlp((6,), 2, MODE_REVERB, timesteps=2, seed=9, hidden=12)
+        net = build_network("d12 d12", (6,), 2, MODE_REVERB, timesteps=2, seed=9)
         folded = fold_alpha(net)
         x = rng.uniform(0, 1, (16, 6))
         y = rng.integers(0, 2, 16)
@@ -552,7 +549,7 @@ class TestEventForward:
     def test_network_without_middle_layer_evaluates(self):
         # Encoder straight into the head: no SOP layer, so nothing to record.
         rng = np.random.default_rng(10)
-        net = build_mlp((8,), 2, MODE_REVERB, timesteps=2, seed=10, middle_layers=0)
+        net = build_network("d128", (8,), 2, MODE_REVERB, timesteps=2, seed=10)
         x = rng.uniform(0, 1, (12, 8))
         y = rng.integers(0, 2, 12)
         acc_dense, dense = evaluate_dense(net, x, y)
@@ -568,17 +565,17 @@ class TestEventForward:
         # For dense layers the accumulations the event kernel performs are
         # s * T * A, and both paths count them the same way.
         rng = np.random.default_rng(12)
-        net = fold_alpha(build_mlp((8,), 2, MODE_LEARNABLE, timesteps=3, seed=12,
-                                   hidden=16, middle_layers=2))
+        net = fold_alpha(build_network("d16 d16 d16", (8,), 2, MODE_LEARNABLE, timesteps=3,
+                                       seed=12))
         x, y = rng.uniform(0, 1, (40, 8)), rng.integers(0, 2, 40)
         _, event, counter = evaluate_event_driven(net, x, y)
         _, dense = evaluate_dense(net, x, y)
         assert counter.accumulations > 0
         assert event.sops == dense.sops == counter.accumulations / len(x)
 
-    @pytest.mark.parametrize("middle_layers", [0, 1])
-    def test_empty_sample_set_is_state_error(self, middle_layers):
-        net = build_mlp((8,), 2, MODE_REVERB, timesteps=2, seed=0, middle_layers=middle_layers)
+    @pytest.mark.parametrize("arch", ["d128", "d128 d128"])
+    def test_empty_sample_set_is_state_error(self, arch):
+        net = build_network(arch, (8,), 2, MODE_REVERB, timesteps=2, seed=0)
         x, y = np.zeros((0, 8)), np.zeros(0, dtype=int)
         with pytest.raises(StateError):
             evaluate_dense(net, x, y)
@@ -586,7 +583,7 @@ class TestEventForward:
             evaluate_event_driven(fold_alpha(net), x, y)
 
     def test_requires_inference_form(self):
-        net = build_mlp((6,), 2, MODE_REVERB, timesteps=2, seed=0)
+        net = build_network("d128 d128", (6,), 2, MODE_REVERB, timesteps=2, seed=0)
         with pytest.raises(ModeError):
             evaluate_event_driven(net, np.zeros((2, 6)), np.zeros(2, dtype=int))
 
@@ -603,7 +600,7 @@ class TestSparsityComparison:
         ds = rings(seed=0)
         sparsities = {}
         for mode in (MODE_REVERB, "vanilla"):
-            net = build_mlp(ds.input_shape, 2, mode, timesteps=2, seed=0, hidden=16)
+            net = build_network("d16 d16", ds.input_shape, 2, mode, timesteps=2, seed=0)
             net, _ = train(net, (ds.train_x, ds.train_y),
                            TrainConfig(epochs=25, lr0=0.03, batch_size=64, seed=0))
             _, report = evaluate_dense(net, ds.test_x, ds.test_y)

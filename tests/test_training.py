@@ -7,8 +7,7 @@ from reverb_snn import training
 from reverb_snn.datasets import two_gaussians
 from reverb_snn.errors import DimensionError, StateError, TrainingError
 from reverb_snn.layers import ALPHA_FLOOR, DENSE, BinaryLayer, binarize_weights
-from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, Network,
-                                build_convnet, build_mlp)
+from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, Network, build_network
 from reverb_snn.neuron import FireMode, NeuronParams
 from reverb_snn.training import (Gradients, SgdOptimizer, TrainConfig,
                                  aggregate_output, backward_stbp, ce_loss,
@@ -40,7 +39,7 @@ class TestForwardPass:
         np.testing.assert_allclose(outputs[0], x @ np.asarray(w).T)
 
     def test_silent_network_on_zero_input(self):
-        net = build_mlp((6,), 3, MODE_REVERB, timesteps=3, v_th=0.5, seed=0)
+        net = build_network("d128 d128", (6,), 3, MODE_REVERB, timesteps=3, v_th=0.5, seed=0)
         outputs, cache = forward_pass(net, np.zeros((2, 6)))
         for t in range(3):
             np.testing.assert_array_equal(outputs[t], np.zeros((2, 3)))
@@ -48,7 +47,7 @@ class TestForwardPass:
             np.testing.assert_array_equal(cache.inputs[t][1], np.zeros_like(cache.inputs[t][1]))
 
     def test_deterministic_repeat(self):
-        net = build_mlp((6,), 3, MODE_LEARNABLE, timesteps=2, seed=1)
+        net = build_network("d128 d128", (6,), 3, MODE_LEARNABLE, timesteps=2, seed=1)
         x = np.random.default_rng(0).uniform(0, 1, (4, 6))
         o1, _ = forward_pass(net, x)
         o2, _ = forward_pass(net, x)
@@ -56,7 +55,7 @@ class TestForwardPass:
             np.testing.assert_array_equal(a, b)
 
     def test_input_shape_mismatch(self):
-        net = build_mlp((6,), 3, MODE_REVERB, timesteps=1, seed=0)
+        net = build_network("d128 d128", (6,), 3, MODE_REVERB, timesteps=1, seed=0)
         with pytest.raises(DimensionError):
             forward_pass(net, np.zeros((2, 7)))
 
@@ -219,8 +218,8 @@ class TestBackwardStbp:
         # firing gate and reset truncation in the backward pass; the second
         # shape is the gradcheck command's 6-4-4-4 network.
         for n_in, classes, hidden, seed, batch in ((5, 3, 6, 4, 4), (6, 4, 4, 3, 6)):
-            net = build_mlp((n_in,), classes, MODE_LEARNABLE, timesteps=2,
-                            seed=seed, hidden=hidden)
+            net = build_network(f"d{hidden} d{hidden}", (n_in,), classes, MODE_LEARNABLE,
+                                timesteps=2, seed=seed)
             rng = np.random.default_rng(seed)
             x = rng.uniform(0, 1, (batch, n_in))
             y = rng.integers(0, classes, batch)
@@ -228,7 +227,7 @@ class TestBackwardStbp:
             assert report.passed, f"seed {seed}: max rel err {report.max_rel}"
 
     def test_corrupted_gradient_detected(self, monkeypatch):
-        net = build_mlp((6,), 4, MODE_LEARNABLE, timesteps=2, seed=0, hidden=4)
+        net = build_network("d4 d4", (6,), 4, MODE_LEARNABLE, timesteps=2, seed=0)
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, (6, 6))
         y = rng.integers(0, 4, 6)
@@ -244,8 +243,7 @@ class TestBackwardStbp:
         assert not report.passed
 
     def test_gradient_oracle_with_affine(self):
-        net = build_mlp((5,), 3, MODE_LEARNABLE, timesteps=2, seed=2,
-                        hidden=6, affine=True)
+        net = build_network("d6 d6", (5,), 3, MODE_LEARNABLE, timesteps=2, seed=2, affine=True)
         rng = np.random.default_rng(2)
         net.layers[1].affine_gamma[:] = rng.uniform(0.5, 1.5, 6)
         net.layers[1].affine_beta[:] = rng.normal(0, 0.2, 6)
@@ -258,8 +256,8 @@ class TestBackwardStbp:
     def test_gradient_oracle_positive_threshold_long_unroll(self):
         # v_th > 0 and T = 4 stress the reset-truncated temporal path.
         for seed in range(3):
-            net = build_mlp((5,), 3, MODE_LEARNABLE, timesteps=4, v_th=0.25,
-                            seed=seed, hidden=6)
+            net = build_network("d6 d6", (5,), 3, MODE_LEARNABLE, timesteps=4, v_th=0.25,
+                                seed=seed)
             rng = np.random.default_rng(seed)
             x = rng.uniform(0, 1, (4, 5))
             y = rng.integers(0, 3, 4)
@@ -270,8 +268,8 @@ class TestBackwardStbp:
         # Conv encoder and binarized conv middle layer: checks the conv
         # kernel and input gradients against finite differences.
         for seed in range(4):
-            net = build_convnet((1, 6, 6), 3, MODE_LEARNABLE, timesteps=2,
-                                seed=seed, channels=(2, 3))
+            net = build_network("c2 c3s2", (1, 6, 6), 3, MODE_LEARNABLE, timesteps=2,
+                                seed=seed)
             rng = np.random.default_rng(seed)
             x = rng.uniform(0, 1, (4, 1, 6, 6))
             y = rng.integers(0, 3, 4)
@@ -310,7 +308,7 @@ PARAM_ATTRS = {"w": "w_latent", "alpha": "alpha", "gamma": "affine_gamma", "beta
 
 class TestSgdOptimizer:
     def test_zeros_layout_follows_the_trained_parameters(self):
-        net = build_mlp((5,), 3, MODE_LEARNABLE, timesteps=1, seed=0, hidden=6, affine=True)
+        net = build_network("d6 d6", (5,), 3, MODE_LEARNABLE, timesteps=1, seed=0, affine=True)
         g = Gradients.zeros(net)
         for name, attr in PARAM_ATTRS.items():
             # encoder and head train only w; the middle layer trains all four
@@ -322,10 +320,10 @@ class TestSgdOptimizer:
                    if a is not None)
 
     @pytest.mark.parametrize("build", [
-        lambda: build_mlp((5,), 3, MODE_LEARNABLE, timesteps=1, seed=0, hidden=6,
-                          affine=True),
-        lambda: build_convnet((1, 6, 6), 3, MODE_LEARNABLE, timesteps=1, seed=0,
-                              channels=(2, 3), affine=True),
+        lambda: build_network("d6 d6", (5,), 3, MODE_LEARNABLE, timesteps=1, seed=0,
+                              affine=True),
+        lambda: build_network("c2 c3s2", (1, 6, 6), 3, MODE_LEARNABLE, timesteps=1, seed=0,
+                              affine=True),
     ], ids=["mlp", "convnet"])
     def test_momentum_across_steps_matches_hand_updates(self, build):
         # Three steps at momentum 0.9, each with its own fixed random
@@ -395,7 +393,7 @@ def test_train_config_rejects_out_of_range(kwargs, key):
 class TestTrain:
     def test_zero_lr_leaves_network_unchanged(self):
         ds = two_gaussians(n_train=64, n_test=16, seed=0)
-        net = build_mlp(ds.input_shape, 2, MODE_LEARNABLE, timesteps=2, seed=0)
+        net = build_network("d128 d128", ds.input_shape, 2, MODE_LEARNABLE, timesteps=2, seed=0)
         before = [l.w_latent.copy() for l in net.layers]
         net, _ = train(net, (ds.train_x, ds.train_y),
                        TrainConfig(epochs=1, lr0=0.0, seed=0))
@@ -404,7 +402,7 @@ class TestTrain:
 
     def test_separable_toy_reaches_99(self):
         ds = two_gaussians(seed=0)
-        net = build_mlp(ds.input_shape, 2, MODE_REVERB, timesteps=2, seed=0)
+        net = build_network("d128 d128", ds.input_shape, 2, MODE_REVERB, timesteps=2, seed=0)
         net, metrics = train(net, (ds.train_x, ds.train_y),
                              TrainConfig(epochs=50, lr0=0.03, seed=0))
         assert metrics[-1]["acc"] >= 0.99
@@ -413,7 +411,7 @@ class TestTrain:
         ds = two_gaussians(n_train=128, n_test=16, seed=1)
         final = []
         for _ in range(2):
-            net = build_mlp(ds.input_shape, 2, MODE_LEARNABLE, timesteps=2, seed=7)
+            net = build_network("d128 d128", ds.input_shape, 2, MODE_LEARNABLE, timesteps=2, seed=7)
             net, _ = train(net, (ds.train_x, ds.train_y),
                            TrainConfig(epochs=3, lr0=0.03, seed=7))
             final.append([l.w_latent.copy() for l in net.layers])
@@ -425,7 +423,8 @@ class TestTrain:
         # over the first 10 epochs for 3 independent seeds.
         ds = two_gaussians(seed=2)
         for seed in (0, 1, 2):
-            net = build_mlp(ds.input_shape, 2, MODE_LEARNABLE, timesteps=2, seed=seed)
+            net = build_network("d128 d128", ds.input_shape, 2, MODE_LEARNABLE, timesteps=2,
+                                seed=seed)
             net, metrics = train(net, (ds.train_x, ds.train_y),
                                  TrainConfig(epochs=10, lr0=0.03, seed=seed))
             losses = [m["loss"] for m in metrics]
@@ -434,21 +433,21 @@ class TestTrain:
 
     def test_divergence_raises_training_error(self):
         ds = two_gaussians(n_train=64, n_test=16, seed=3)
-        net = build_mlp(ds.input_shape, 2, MODE_REVERB, timesteps=2, seed=3)
+        net = build_network("d128 d128", ds.input_shape, 2, MODE_REVERB, timesteps=2, seed=3)
         net.layers[0].w_latent *= 1e308  # force immediate overflow
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError):
                 train(net, (ds.train_x, ds.train_y), TrainConfig(epochs=1, seed=3))
 
     def test_empty_dataset_rejected(self):
-        net = build_mlp((4,), 2, MODE_REVERB, timesteps=1, seed=0)
+        net = build_network("d128 d128", (4,), 2, MODE_REVERB, timesteps=1, seed=0)
         with pytest.raises(ValueError):
             train(net, (np.zeros((0, 4)), np.zeros(0, dtype=int)), TrainConfig(epochs=1))
 
     def test_optimizer_reimposes_layer_invariants(self):
         # A huge step may push latent weights outside [-1, 1] and the
         # amplitude below its floor; the optimizer restores both.
-        net = build_mlp((4,), 2, MODE_LEARNABLE, timesteps=1, seed=0, hidden=6)
+        net = build_network("d6 d6", (4,), 2, MODE_LEARNABLE, timesteps=1, seed=0)
         opt = SgdOptimizer(net, momentum=0.0)
         grads = Gradients(
             w=[np.full_like(l.w_latent, -100.0) for l in net.layers],
