@@ -16,7 +16,7 @@ from .layers import (BinaryLayer, alpha_grad, binarize_weights, clip_latent,
                      effective_weights, ste_weight_grad)
 from .network import ARCHITECTURES, MODES, Network, build_network
 from .neuron import (FireMode, NeuronParams, fire, fire_backward, fire_binary,
-                     fire_real, fire_real_scaled, membrane_update)
+                     fire_real, membrane_update)
 from .numerics import conv2d, matmul
 from .reparam import fold_alpha, verify_equivalence
 from .training import (ForwardCache, Gradients, SgdOptimizer, TrainConfig,

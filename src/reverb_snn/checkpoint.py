@@ -3,25 +3,24 @@
 Layout (all multi-byte integers little-endian, reals 64-bit IEEE-754):
 
     magic           4s   "RVRB"
-    version         u32  (currently 2)
+    version         u32  (currently 3; any other, 2 included, is a ParseError)
     form            u8   0 = trained, 1 = inference (amplitude-folded)
-    mode            u8   0 = vanilla, 1 = reverb, 2 = reverb-learnable
     timesteps       u32
     tau             f64
-    v_th            f64  base threshold (folded layers gate at v_th / scale)
+    v_th            f64  base threshold (scaled layers gate at v_th / scale)
     input ndim      u8, then u32 per axis
-    num_classes     u32
-    layer count     u32
+    layer count     u32  the last is the dense head: its outputs are the classes
     per layer:
-      kind, binarize, learn_alpha, has_affine, neuron_mode   5 x u8
-      stride, padding                                        2 x u32
-      weight ndim   u8, then u32 per axis
+      kind, binarize, learn_alpha, has_affine, fire_mode, has_scale   6 x u8
+                    (kind 0 = dense, 1 = conv; fire_mode 0 = binary, 1 = real)
+      stride, padding                                                 2 x u32
+      weight shape  u32 per axis: 2 for a dense layer, 4 for a conv layer
       weights: trained form or real-weight layer -> raw f64;
                inference-form binarized layer    -> 1 bit per weight,
                LSB-first within each byte over row-major order, bit 1 => +1
       alpha         f64 per output channel
       gamma, beta   f64 per output channel (only when has_affine)
-      scale         f64 per output channel (only when neuron_mode = scaled)
+      scale         f64 per output channel (only when has_scale)
     crc32           u32  zlib.crc32 of every byte before it
 
 A file whose trailer is not the CRC-32 of the rest is a ParseError before any
@@ -41,16 +40,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, ParseError, StateError
-from .layers import CONV, DENSE, BinaryLayer
-from .network import MODES, Network
+from .layers import CONV, DENSE, WEIGHT_RANK, BinaryLayer
+from .network import Network
 from .neuron import FireMode, NeuronParams
 
 MAGIC = b"RVRB"
-VERSION = 2
+VERSION = 3
 _CRC = struct.Struct("<I")
 
 _KINDS = (DENSE, CONV)
-_FIRE_MODES = (FireMode.BINARY, FireMode.REAL, FireMode.SCALED_REAL)
+_FIRE_MODES = (FireMode.BINARY, FireMode.REAL)
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -58,24 +57,17 @@ def save_checkpoint(net: Network, path) -> None:
     tau, v_th = net.neurons[0].tau, net.neurons[0].v_th
     if any((nrn.tau, nrn.v_th) != (tau, v_th) for nrn in net.neurons):
         raise StateError("checkpoint format requires a network-wide tau and v_th")
-    buf += struct.pack("<4sIBBIdd", MAGIC, VERSION, int(net.inference_form),
-                       MODES.index(net.mode), net.timesteps, tau, v_th)
+    buf += struct.pack("<4sIBIdd", MAGIC, VERSION, int(net.inference_form),
+                       net.timesteps, tau, v_th)
     buf += struct.pack("<B", len(net.input_shape))
     buf += struct.pack(f"<{len(net.input_shape)}I", *net.input_shape)
-    buf += struct.pack("<II", net.num_classes, len(net.layers))
+    buf += struct.pack("<I", len(net.layers))
     for layer, nrn in zip(net.layers, net.neurons):
-        buf += struct.pack(
-            "<5B2I",
-            _KINDS.index(layer.kind),
-            int(layer.binarize),
-            int(layer.learn_alpha),
-            int(layer.has_affine),
-            _FIRE_MODES.index(nrn.mode),
-            layer.stride,
-            layer.padding,
-        )
+        buf += struct.pack("<6B2I", _KINDS.index(layer.kind), int(layer.binarize),
+                           int(layer.learn_alpha), int(layer.has_affine),
+                           _FIRE_MODES.index(nrn.mode), int(nrn.scale is not None),
+                           layer.stride, layer.padding)
         w = layer.w_latent
-        buf += struct.pack("<B", w.ndim)
         buf += struct.pack(f"<{w.ndim}I", *w.shape)
         if net.inference_form and layer.binarize:
             if not (np.abs(w) == 1.0).all():
@@ -88,7 +80,7 @@ def save_checkpoint(net: Network, path) -> None:
         if layer.has_affine:
             buf += layer.affine_gamma.tobytes()
             buf += layer.affine_beta.tobytes()
-        if nrn.mode is FireMode.SCALED_REAL:
+        if nrn.scale is not None:
             buf += nrn.scale.tobytes()
     buf += _CRC.pack(zlib.crc32(buf))
     Path(path).write_bytes(bytes(buf))
@@ -122,37 +114,32 @@ def load_checkpoint(path) -> Network:
     r = _Reader(data[: -_CRC.size])
     try:
         net = _decode(r, data[-_CRC.size :])
-        if net.layer_output_shapes()[-1:] != [(net.num_classes,)]:  # chain into the head
-            raise ValueError(f"num_classes {net.num_classes} is not the head's output count")
+        net.layer_output_shapes()  # the layers chain from the input into the head
     except (ValueError, DimensionError) as exc:  # a decoded value broke an invariant
         raise ParseError(f"corrupt checkpoint: {exc}", offset=r.pos) from exc
     return net
 
 
 def _decode(r: _Reader, crc: bytes) -> Network:
-    magic, version, form, mode_id, timesteps, tau, v_th = r.unpack("4sIBBIdd")
+    magic, version, form, timesteps, tau, v_th = r.unpack("4sIBIdd")
     if magic != MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", offset=4)
     if crc != _CRC.pack(zlib.crc32(r.data)):
         raise ParseError("checksum mismatch: corrupt checkpoint", offset=len(r.data))
-    if mode_id >= len(MODES):
-        raise ParseError(f"unknown mode id {mode_id}", offset=9)
     (in_ndim,) = r.unpack("B")
     input_shape = tuple(r.unpack(f"{in_ndim}I"))
-    num_classes, n_layers = r.unpack("II")
+    (n_layers,) = r.unpack("I")
 
     layers: list[BinaryLayer] = []
     neurons: list[NeuronParams] = []
     for _ in range(n_layers):
-        kind_id, binarize, learn_alpha, has_affine, fire_id, stride, padding = r.unpack("5B2I")
+        kind_id, binarize, learn_alpha, has_affine, fire_id, has_scale, stride, padding = \
+            r.unpack("6B2I")
         if kind_id >= len(_KINDS) or fire_id >= len(_FIRE_MODES):
             raise ParseError("corrupt layer header", offset=r.pos)
-        (w_ndim,) = r.unpack("B")
-        if w_ndim == 0:
-            raise ParseError("layer weights have no axes", offset=r.pos - 1)
-        w_shape = tuple(r.unpack(f"{w_ndim}I"))
+        w_shape = tuple(r.unpack(f"{WEIGHT_RANK[_KINDS[kind_id]]}I"))
         n_weights = math.prod(w_shape)
         if form and binarize:
             packed = np.frombuffer(r.take((n_weights + 7) // 8), dtype=np.uint8)
@@ -169,14 +156,10 @@ def _decode(r: _Reader, crc: bytes) -> Network:
         if has_affine:
             layer.affine_gamma = r.f64(out_channels)
             layer.affine_beta = r.f64(out_channels)
-        fire_mode = _FIRE_MODES[fire_id]
-        scale = r.f64(out_channels) if fire_mode is FireMode.SCALED_REAL else None
-        neurons.append(NeuronParams(tau=tau, v_th=v_th, mode=fire_mode, scale=scale))
+        scale = r.f64(out_channels) if has_scale else None
+        neurons.append(NeuronParams(tau=tau, v_th=v_th, mode=_FIRE_MODES[fire_id], scale=scale))
         layers.append(layer)
     if r.pos != len(r.data):
         raise ParseError(f"{len(r.data) - r.pos} trailing bytes", offset=r.pos)
-    return Network(
-        layers=layers, neurons=neurons, timesteps=timesteps,
-        input_shape=input_shape, num_classes=num_classes,
-        mode=MODES[mode_id], inference_form=bool(form),
-    )
+    return Network(layers=layers, neurons=neurons, timesteps=timesteps,
+                   input_shape=input_shape, inference_form=bool(form))

@@ -31,6 +31,7 @@ from .numerics import as_f64, conv2d, matmul
 
 DENSE = "dense"
 CONV = "conv"
+WEIGHT_RANK = {DENSE: 2, CONV: 4}  # weight axes: (out, in) or (C_out, C_in, k, k)
 
 # Lower bound for alpha updates; a vanishing or negative amplitude would
 # silently re-binarize the layer with flipped signs.
@@ -61,9 +62,9 @@ class BinaryLayer:
     def __post_init__(self):
         self.w_latent = as_f64(self.w_latent)
         self.alpha = as_f64(np.atleast_1d(self.alpha))
-        if self.kind not in (DENSE, CONV):
+        if self.kind not in WEIGHT_RANK:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        expected_ndim = 2 if self.kind == DENSE else 4
+        expected_ndim = WEIGHT_RANK[self.kind]
         if self.w_latent.ndim != expected_ndim or 0 in self.w_latent.shape:
             raise DimensionError(f"{self.kind} layer expects {expected_ndim}-D weights with "
                                  f"no empty axis, got {self.w_latent.shape}")

@@ -1,8 +1,9 @@
 """Network container and the one builder, from a layer spec.
 
 A network is an ordered layer stack with one NeuronParams per layer and a
-fixed number of timesteps. Inputs are presented identically at every step
-(direct encoding). Three training modes exist:
+fixed number of timesteps, ending in the dense classifier head. Inputs are
+presented identically at every step (direct encoding). Three training modes
+exist; the layers' flags and the neurons' firing rules carry them:
 
 * vanilla          -- real weights everywhere, binary spikes;
 * reverb           -- binary middle weights (alpha pinned at 1), real spikes;
@@ -16,8 +17,9 @@ fixed number of timesteps. Inputs are presented identically at every step
                                        unless given.
 
 Convs come before dense layers. The first token is the (rate-encoding)
-encoder and the dense classifier head of `num_classes` is implied; both
-always keep real weights, and only the middle tokens are ever binarized.
+encoder and the dense classifier head, `d<num_classes>`, is implied; both
+always keep real weights, and only the middle tokens are ever binarized. A
+layer too large to allocate is a DimensionError naming its token.
 `ARCHITECTURES` names three specs: mlp-tiny, mlp-small and convnet-small.
 """
 
@@ -45,16 +47,14 @@ ARCHITECTURES = {"mlp-tiny": "d16 d16 d16", "mlp-small": "d128 d128", "convnet-s
 
 @dataclass
 class Network:
-    """Ordered layer stack. `inference_form` marks an amplitude-folded network
-    whose binarized layers hold pure {-1, +1} weights and fire with the
-    scaled real-valued rule."""
+    """Ordered layer stack ending in a dense head. `inference_form` marks an
+    amplitude-folded network whose binarized layers hold pure {-1, +1}
+    weights and fire real-valued spikes times their firing scale."""
 
     layers: list[BinaryLayer]
     neurons: list[NeuronParams]
     timesteps: int
     input_shape: tuple[int, ...]
-    num_classes: int
-    mode: str = MODE_REVERB
     inference_form: bool = False
 
     def __post_init__(self):
@@ -62,6 +62,12 @@ class Network:
             raise ValueError("timesteps must be positive")
         if len(self.layers) != len(self.neurons):
             raise ValueError("one NeuronParams required per layer")
+        if not self.layers or self.layers[-1].kind != DENSE:
+            raise ValueError("the last layer must be a dense classifier head")
+
+    @property
+    def num_classes(self) -> int:
+        return self.layers[-1].out_channels
 
     def layer_output_shapes(self) -> list[tuple[int, ...]]:
         """Per-sample output shape of each layer, propagated from input_shape."""
@@ -173,13 +179,18 @@ def build_network(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     specs = parse_spec(arch) + [(DENSE, num_classes, 1, 0)]
+    tokens = ARCHITECTURES.get(arch, arch).split() + [f"d{num_classes}"]
     rng = np.random.default_rng(seed)
     shape, layers = tuple(input_shape), []
-    for i, (kind, width, stride, padding) in enumerate(specs):
+    for i, (token, (kind, width, stride, padding)) in enumerate(zip(tokens, specs)):
         w_shape = (width, shape[0], 3, 3) if kind == CONV else (width, math.prod(shape))
         middle = 0 < i < len(specs) - 1
-        layers.append(_make_layer(rng, w_shape, kind, mode, middle, stride, padding, affine))
+        try:
+            layers.append(_make_layer(rng, w_shape, kind, mode, middle, stride, padding, affine))
+        except (MemoryError, ValueError) as exc:  # numpy refuses the array before allocating
+            raise DimensionError(f"architecture {arch!r}: token {token!r} needs weights of "
+                                 f"shape {w_shape}, which cannot be allocated ({exc})") from None
         shape = _output_shape(shape, layers[-1])
     fire_mode = FireMode.BINARY if mode == MODE_VANILLA else FireMode.REAL
     neurons = [NeuronParams(tau=tau, v_th=v_th, mode=fire_mode) for _ in layers]
-    return Network(layers, neurons, timesteps, tuple(input_shape), num_classes, mode)
+    return Network(layers, neurons, timesteps, tuple(input_shape))

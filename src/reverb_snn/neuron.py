@@ -1,4 +1,4 @@
-"""Leaky integrate-and-fire dynamics with three firing rules.
+"""Leaky integrate-and-fire dynamics with two firing rules.
 
 The membrane potential of layer l, a plain array, evolves as
 
@@ -6,17 +6,17 @@ The membrane potential of layer l, a plain array, evolves as
 
 where `u_old` already has the previous step's reset applied: any neuron that
 fired is sitting at the resting potential 0. Firing gates inclusively
-(u >= threshold) and hard-resets fired entries to 0. The three rules differ
+(u >= threshold) and hard-resets fired entries to 0. The two rules differ
 only in the value a fired neuron emits:
 
-* binary       -- 1, the classic spike;
-* real         -- the membrane potential u itself;
-* scaled real  -- scale * u with a per-channel scale (the inference form
-                  produced by amplitude folding), gated at v_th / scale.
+* binary -- 1, the classic spike;
+* real   -- the membrane potential u itself or, when the layer carries a
+            per-channel firing scale (the inference form produced by
+            amplitude folding), scale * u, gated at v_th / scale.
 
 Backward rules: the real-valued spike is differentiable away from the gate,
-so its gradient is the fired indicator (the boundary Dirac term is dropped);
-the scaled rule multiplies that by the channel scale; the binary spike is
+so its gradient is the fired indicator (the boundary Dirac term is dropped),
+times the channel scale when there is one; the binary spike is
 non-differentiable and uses a rectangular surrogate window of width 1 around
 the threshold.
 """
@@ -35,17 +35,16 @@ from .numerics import as_f64
 class FireMode(enum.Enum):
     BINARY = "binary"
     REAL = "real"
-    SCALED_REAL = "scaled-real"
 
 
 @dataclass
 class NeuronParams:
     """Per-layer neuron configuration.
 
-    `v_th` is the layer's scalar base threshold. `scale` is the per-channel
-    firing amplitude and is only consulted in SCALED_REAL mode, where the
-    gate is derived from both as v_th / scale: a layer whose amplitude was
-    folded out of its membrane then decides exactly as the unfolded layer.
+    `v_th` is the layer's scalar base threshold. `scale`, allowed only with
+    the real rule, is the per-channel firing amplitude; the gate is then
+    derived from both as v_th / scale, so a layer whose amplitude was folded
+    out of its membrane decides exactly as the unfolded layer.
     """
 
     tau: float = 0.25
@@ -58,9 +57,9 @@ class NeuronParams:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if np.ndim(self.v_th) != 0 or not np.isfinite(self.v_th):
             raise ValueError(f"v_th must be a finite scalar, got {self.v_th!r}")
-        if self.mode is FireMode.SCALED_REAL:
-            if self.scale is None:
-                raise ValueError("SCALED_REAL mode requires a scale vector")
+        if self.scale is not None:
+            if self.mode is not FireMode.REAL:
+                raise ValueError(f"a firing scale needs the real rule, not {self.mode}")
             self.scale = as_f64(self.scale)
             if (self.scale <= 0).any():
                 raise ValueError("firing scale entries must be strictly positive")
@@ -81,8 +80,8 @@ def _per_channel(vec: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def threshold_for(u: np.ndarray, params: NeuronParams):
-    """The gate of u: v_th, or v_th / scale per channel in SCALED_REAL mode."""
-    if params.mode is FireMode.SCALED_REAL:
+    """The gate of u: v_th, or v_th / scale per channel with a firing scale."""
+    if params.scale is not None:
         return _per_channel(params.v_th / params.scale, u)
     return params.v_th
 
@@ -110,19 +109,12 @@ def fire_binary(u: np.ndarray, params: NeuronParams):
 
 
 def fire_real(u: np.ndarray, params: NeuronParams):
-    return _gate_and_reset(u, params, FireMode.REAL, lambda u: u)
+    if params.scale is None:
+        return _gate_and_reset(u, params, FireMode.REAL, lambda u: u)
+    return _gate_and_reset(u, params, FireMode.REAL, lambda u: _per_channel(params.scale, u) * u)
 
 
-def fire_real_scaled(u: np.ndarray, params: NeuronParams):
-    return _gate_and_reset(u, params, FireMode.SCALED_REAL,
-                           lambda u: _per_channel(params.scale, u) * u)
-
-
-_FIRE = {
-    FireMode.BINARY: fire_binary,
-    FireMode.REAL: fire_real,
-    FireMode.SCALED_REAL: fire_real_scaled,
-}
+_FIRE = {FireMode.BINARY: fire_binary, FireMode.REAL: fire_real}
 
 
 def fire(u: np.ndarray, params: NeuronParams):
@@ -134,10 +126,9 @@ def fire_backward(u: np.ndarray, params: NeuronParams) -> np.ndarray:
     """Elementwise dO/dU of the firing rule at pre-reset potential u."""
     u = as_f64(u)
     v_th = threshold_for(u, params)
+    if params.scale is not None:
+        return np.where(u >= v_th, _per_channel(params.scale, u), 0.0)
     if params.mode is FireMode.REAL:
         return (u >= v_th).astype(np.float64)
-    if params.mode is FireMode.SCALED_REAL:
-        scale = _per_channel(params.scale, u)
-        return np.where(u >= v_th, scale, 0.0)
     # Rectangular surrogate for the non-differentiable binary spike.
     return (np.abs(u - v_th) <= 0.5).astype(np.float64)

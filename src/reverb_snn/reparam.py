@@ -1,6 +1,9 @@
 """Post-training re-parameterization: strip the learned amplitude out of each
 binarized layer's weights and re-apply it in the firing function.
 
+The folded network fires with the same real-valued rule; each folded layer
+only gains a per-channel firing scale (`NeuronParams.scale`).
+
 A binarized layer computes u = tau*u + alpha_c * (sign(W) . o). Because
 alpha_c > 0 is attached to the layer's own output channel c, the whole
 membrane trajectory of that channel is linear in alpha_c between resets, so
@@ -27,7 +30,6 @@ import numpy as np
 
 from .layers import binarize_weights
 from .network import Network
-from .neuron import FireMode
 from .training import aggregate_output, forward_pass
 
 
@@ -35,9 +37,8 @@ def fold_alpha(net: Network) -> Network:
     """Return the inference-form network with pure {-1,+1} binarized weights.
 
     Binarized layers with a non-unit amplitude move it into their firing
-    scale (mode becomes scaled real), whose gate is then v_th / scale per
-    channel. Layers already at alpha == 1 are left untouched, so refolding a
-    folded network is a no-op.
+    scale, whose gate is then v_th / scale per channel. Layers already at
+    alpha == 1 are left untouched, so refolding a folded network is a no-op.
     """
     folded = copy.deepcopy(net)
     for l, layer in enumerate(folded.layers):
@@ -52,8 +53,7 @@ def fold_alpha(net: Network) -> Network:
             # Membrane rescaling u -> u/alpha divides the additive shift too;
             # the multiplicative gamma commutes and stays put.
             layer.affine_beta = layer.affine_beta / scale
-        folded.neurons[l] = dataclasses.replace(folded.neurons[l], mode=FireMode.SCALED_REAL,
-                                                scale=scale)
+        folded.neurons[l] = dataclasses.replace(folded.neurons[l], scale=scale)
     folded.inference_form = True
     return folded
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers as L
-from .errors import DimensionError, StateError, TrainingError
+from .errors import DimensionError, ModeError, StateError, TrainingError
 from .network import Network
 from .neuron import _per_channel, fire, fire_backward, membrane_update, threshold_for
 from .numerics import as_f64, conv2d_input_grad, conv2d_kernel_grad
@@ -304,8 +304,11 @@ def train(net: Network, data, cfg: TrainConfig):
     """Run the full training loop; returns (net, per-epoch metric records).
 
     Deterministic given cfg.seed: the only randomness is the epoch shuffle.
-    Raises TrainingError (with the epoch index) if the loss goes non-finite.
+    Raises TrainingError (with the epoch index) if the loss goes non-finite,
+    and ModeError for an amplitude-folded network.
     """
+    if net.inference_form:
+        raise ModeError("network is amplitude-folded: train it before fold_alpha")
     x, y = _samples_and_labels(net, *data)
     if len(x) == 0:
         raise ValueError("training dataset is empty")

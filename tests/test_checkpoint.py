@@ -8,6 +8,7 @@ import pytest
 
 from reverb_snn.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from reverb_snn.errors import ParseError
+from reverb_snn.layers import DENSE
 from reverb_snn.network import (MODE_LEARNABLE, MODE_REVERB, MODE_VANILLA,
                                 Network, build_network)
 from reverb_snn.neuron import FireMode
@@ -18,7 +19,9 @@ def assert_networks_bitwise_equal(a, b):
     assert a.timesteps == b.timesteps
     assert a.input_shape == b.input_shape
     assert a.num_classes == b.num_classes
-    assert a.mode == b.mode
+    # The training mode is carried by the layers' flags, one pair per layer.
+    assert [(la.binarize, la.learn_alpha) for la in a.layers] == \
+           [(lb.binarize, lb.learn_alpha) for lb in b.layers]
     assert a.inference_form == b.inference_form
     for la, lb in zip(a.layers, b.layers):
         np.testing.assert_array_equal(la.w_latent, lb.w_latent)
@@ -132,7 +135,7 @@ def test_trailer_is_crc32_of_the_rest(tmp_path):
     path = tmp_path / "c.rvrb"
     save_checkpoint(net, path)
     data = path.read_bytes()
-    assert struct.unpack("<4sI", data[:8]) == (MAGIC, VERSION) and VERSION == 2
+    assert struct.unpack("<4sI", data[:8]) == (MAGIC, VERSION) and VERSION == 3
     assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
 
 
@@ -195,7 +198,8 @@ def test_scaled_mode_preserved(tmp_path):
     path = tmp_path / "s.rvrb"
     save_checkpoint(folded, path)
     loaded = load_checkpoint(path)
-    assert loaded.neurons[1].mode is FireMode.SCALED_REAL
+    assert loaded.neurons[1].mode is FireMode.REAL
+    assert loaded.neurons[1].scale is not None
     np.testing.assert_array_equal(loaded.neurons[1].scale, folded.neurons[1].scale)
     np.testing.assert_array_equal(
         np.atleast_1d(loaded.neurons[1].v_th), np.atleast_1d(folded.neurons[1].v_th)
@@ -215,7 +219,7 @@ def _single_bit_flips(arch, form, tmp_path):
     net = TINY[arch]()
     if form == "folded":
         net = fold_alpha(net)
-        assert net.neurons[1].mode is FireMode.SCALED_REAL
+        assert net.neurons[1].scale is not None
     path = tmp_path / "m.rvrb"
     save_checkpoint(net, path)
     data = path.read_bytes()
@@ -243,8 +247,8 @@ def test_every_resealed_bit_flip_loads_or_raises_parse_error(tmp_path, form, arc
     # Behind the trailer, a flip whose CRC is recomputed (a file written
     # wrong, not damaged later) reaches the decoder: corrupt headers, shapes,
     # strides, amplitudes, scales and thresholds must end in a ParseError,
-    # never in another error; a network that loads must chain and its head
-    # must give num_classes outputs.
+    # never in another error; a network that loads must chain into a dense
+    # head of num_classes outputs.
     flipped = tmp_path / "flipped.rvrb"
     for corrupt in _single_bit_flips(arch, form, tmp_path):
         flipped.write_bytes(_reseal(corrupt))
@@ -254,22 +258,20 @@ def test_every_resealed_bit_flip_loads_or_raises_parse_error(tmp_path, form, arc
         except ParseError:
             continue
         assert isinstance(loaded, Network)
-        loaded.layer_output_shapes()
-        assert loaded.num_classes == loaded.layers[-1].out_channels
+        assert loaded.layer_output_shapes()[-1] == (loaded.num_classes,)
+        assert loaded.layers[-1].kind == DENSE
 
 
-def test_zero_dim_weights_are_parse_error(tmp_path):
+def test_version_2_file_is_unsupported(tmp_path):
+    # Format 2 stored the training mode, the class count and each weight's
+    # rank; format 3 derives them, and a format-2 file no longer loads.
     net = build_network("d2 d2", (2,), 2, MODE_REVERB, timesteps=1)
-    path = tmp_path / "z.rvrb"
+    path = tmp_path / "v2.rvrb"
     save_checkpoint(net, path)
     data = bytearray(path.read_bytes())
-    # The first layer's weight ndim byte follows the header, the 1-D input
-    # shape, the class/layer counts and the layer's own header fields.
-    pos = struct.calcsize("<4sIBBIdd" "B" "I" "II" "5B2I")
-    assert data[pos] == 2
-    data[pos] = 0
+    data[4:8] = struct.pack("<I", 2)
     path.write_bytes(_reseal(data))
-    with pytest.raises(ParseError, match="no axes"):
+    with pytest.raises(ParseError, match="unsupported checkpoint version 2"):
         load_checkpoint(path)
 
 
@@ -289,11 +291,12 @@ def test_broken_invariant_is_parse_error(tmp_path, field, value):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("num_classes", [1, 7])
-def test_num_classes_other_than_head_outputs_is_parse_error(tmp_path, num_classes):
-    net = build_network("d2 d2", (2,), 2, MODE_LEARNABLE, timesteps=1)
-    net.num_classes = num_classes
-    path = tmp_path / "n.rvrb"
+def test_last_layer_not_dense_is_parse_error(tmp_path):
+    # The head fixes the class count, so a file whose last layer is a conv
+    # has none: a sealed file written from a network without its dense head.
+    net = build_network("c2 c2", (1, 4, 4), 2, MODE_LEARNABLE, timesteps=1)
+    del net.layers[-1], net.neurons[-1]
+    path = tmp_path / "h.rvrb"
     save_checkpoint(net, path)
-    with pytest.raises(ParseError, match="num_classes"):
+    with pytest.raises(ParseError, match="last layer must be a dense"):
         load_checkpoint(path)

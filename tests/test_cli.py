@@ -8,6 +8,7 @@ import pytest
 from reverb_snn.checkpoint import load_checkpoint, save_checkpoint
 from reverb_snn.cli import main
 from reverb_snn.network import build_network
+from reverb_snn.neuron import FireMode
 from reverb_snn.reparam import fold_alpha
 
 
@@ -77,7 +78,9 @@ class TestTrain:
         out = tmp_path / "v.rvrb"
         assert main(["train", "--config", str(cfg), "--out", str(out),
                      "--mode", "vanilla"]) == 0
-        assert load_checkpoint(out).mode == "vanilla"
+        net = load_checkpoint(out)
+        assert all(nrn.mode is FireMode.BINARY for nrn in net.neurons)
+        assert not any(layer.binarize for layer in net.layers)
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "none.cfg"),
@@ -96,6 +99,14 @@ class TestTrain:
         cfg = write_config(tmp_path / "run.cfg", architecture="c4 d8")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.rvrb")]) == 4
         assert "(C_in, H, W)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arch", ["d99999999999999", "d16 d99999999999999"])
+    def test_oversized_layer_exits_4_naming_its_token(self, tmp_path, arch, capsys):
+        # numpy refuses weights of petabytes before allocating any of them.
+        cfg = write_config(tmp_path / "run.cfg", architecture=arch)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.rvrb")]) == 4
+        assert "token 'd99999999999999'" in capsys.readouterr().err
+        assert not (tmp_path / "x.rvrb").exists()
 
     def test_bad_config_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
-"""Membrane dynamics and the three firing rules."""
+"""Membrane dynamics and the two firing rules, the real one with and without
+a firing scale."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from reverb_snn.errors import DimensionError, ModeError
 from reverb_snn.neuron import (FireMode, NeuronParams, fire,
                                fire_backward, fire_binary, fire_real,
-                               fire_real_scaled, membrane_update)
+                               membrane_update)
 
 
 def binary_params(tau=0.25, v_th=0.0):
@@ -20,7 +21,7 @@ def real_params(tau=0.25, v_th=0.0):
 
 
 def scaled_params(scale, tau=0.25, v_th=0.0):
-    return NeuronParams(tau=tau, v_th=v_th, mode=FireMode.SCALED_REAL,
+    return NeuronParams(tau=tau, v_th=v_th, mode=FireMode.REAL,
                         scale=np.asarray(scale, dtype=np.float64))
 
 
@@ -105,16 +106,16 @@ class TestFireRealScaled:
     def test_unit_scale_equals_fire_real(self):
         u = np.array([0.7, -0.2, 0.0])
         real_spikes, _ = fire_real(u.copy(), real_params())
-        scaled_spikes, _ = fire_real_scaled(u.copy(), scaled_params(np.ones(3)))
+        scaled_spikes, _ = fire_real(u.copy(), scaled_params(np.ones(3)))
         np.testing.assert_array_equal(real_spikes, scaled_spikes)
 
     def test_scales_emitted_value(self):
-        spikes, new = fire_real_scaled(np.array([2.0]), scaled_params([0.5]))
+        spikes, new = fire_real(np.array([2.0]), scaled_params([0.5]))
         np.testing.assert_array_equal(spikes, [1.0])
         np.testing.assert_array_equal(new, [0.0])
 
     def test_gating_precedes_scaling(self):
-        spikes, _ = fire_real_scaled(
+        spikes, _ = fire_real(
             np.array([-1.0]), scaled_params([100.0], v_th=0.0)
         )
         np.testing.assert_array_equal(spikes, [0.0])
@@ -122,17 +123,27 @@ class TestFireRealScaled:
     def test_channel_broadcast_on_conv_maps(self):
         u = np.ones((2, 3, 3))
         u[1] = 2.0
-        spikes, _ = fire_real_scaled(u, scaled_params([2.0, 0.5]))
+        spikes, _ = fire_real(u, scaled_params([2.0, 0.5]))
         np.testing.assert_array_equal(spikes[0], 2.0 * np.ones((3, 3)))
         np.testing.assert_array_equal(spikes[1], np.ones((3, 3)))
 
     def test_scale_length_mismatch(self):
         with pytest.raises(DimensionError):
-            fire_real_scaled(np.zeros(3), scaled_params([1.0, 1.0]))
+            fire_real(np.zeros(3), scaled_params([1.0, 1.0]))
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             scaled_params([0.0])
+
+    def test_scale_on_the_binary_rule_rejected(self):
+        with pytest.raises(ValueError, match="real rule"):
+            NeuronParams(mode=FireMode.BINARY, scale=np.array([2.0, 2.0]))
+
+    def test_real_rule_with_scale_emits_scale_times_u(self):
+        params = NeuronParams(mode=FireMode.REAL, scale=np.array([2.0, 2.0]))
+        spikes, new = fire(np.array([1.5, -1.0]), params)
+        np.testing.assert_array_equal(spikes, [3.0, 0.0])
+        np.testing.assert_array_equal(new, [0.0, -1.0])
 
 
 class TestFireBackward:
@@ -184,7 +195,7 @@ class TestEventDrivenInvariance:
         for params, ref in [
             (binary_params(), fire_binary),
             (real_params(), fire_real),
-            (scaled_params([2.0]), fire_real_scaled),
+            (scaled_params([2.0]), fire_real),
         ]:
             got, _ = fire(u.copy(), params)
             want, _ = ref(u.copy(), params)
@@ -218,13 +229,14 @@ _SHAPES = {(4,): 0, (2, 4): 1, (3, 2, 2): 0, (2, 3, 2, 2): 1}
 @st.composite
 def _fire_cases(draw):
     mode = draw(st.sampled_from(list(FireMode)))
+    scaled = mode is FireMode.REAL and draw(st.booleans())
     shape = draw(st.sampled_from(list(_SHAPES)))
     axis = _SHAPES[shape]
     v_th = draw(st.sampled_from([0.0, -0.0, 0.25, -0.5]))
     chan = [1] * len(shape)
     chan[axis] = shape[axis]
     scale, theta = None, np.float64(v_th)
-    if mode is FireMode.SCALED_REAL:
+    if scaled:
         scale = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=shape[axis],
                                        max_size=shape[axis])))
         theta = (v_th / scale).reshape(chan)
@@ -235,7 +247,7 @@ def _fire_cases(draw):
     u = np.where(at_gate, np.broadcast_to(theta, shape), u)
     if mode is FireMode.BINARY:
         value = np.ones(shape)
-    elif mode is FireMode.REAL:
+    elif not scaled:
         value = u
     else:
         value = scale.reshape(chan) * u

@@ -33,9 +33,9 @@ class TestFoldAlpha:
                 )
             else:
                 np.testing.assert_array_equal(new.w_latent, orig.w_latent)
-        # alpha already 1: neuron modes untouched
+        # alpha already 1: neurons untouched, no firing scale
         for nrn in folded.neurons:
-            assert nrn.mode is FireMode.REAL
+            assert nrn.mode is FireMode.REAL and nrn.scale is None
 
     def test_single_hidden_alpha_half_hand_case(self):
         net = build_network("d3 d3", (4,), 2, MODE_LEARNABLE, timesteps=1, seed=1)
@@ -45,7 +45,8 @@ class TestFoldAlpha:
         fmid = folded.layers[1]
         np.testing.assert_array_equal(np.abs(fmid.w_latent), np.ones_like(fmid.w_latent))
         np.testing.assert_array_equal(fmid.alpha, np.ones(3))
-        assert folded.neurons[1].mode is FireMode.SCALED_REAL
+        assert folded.neurons[1].mode is FireMode.REAL
+        assert folded.neurons[1].scale is not None
         np.testing.assert_array_equal(folded.neurons[1].scale, [0.5, 0.5, 0.5])
 
     def test_refold_is_noop(self):

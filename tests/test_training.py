@@ -5,10 +5,11 @@ import pytest
 
 from reverb_snn import training
 from reverb_snn.datasets import two_gaussians
-from reverb_snn.errors import DimensionError, StateError, TrainingError
+from reverb_snn.errors import DimensionError, ModeError, StateError, TrainingError
 from reverb_snn.layers import ALPHA_FLOOR, DENSE, BinaryLayer, binarize_weights
 from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, Network, build_network
 from reverb_snn.neuron import FireMode, NeuronParams
+from reverb_snn.reparam import fold_alpha
 from reverb_snn.training import (Gradients, SgdOptimizer, TrainConfig,
                                  aggregate_output, backward_stbp, ce_loss,
                                  ce_loss_grad, cosine_lr, forward_pass,
@@ -23,8 +24,6 @@ def single_layer_net(w, timesteps=1, tau=0.25, v_th=0.0):
         neurons=[NeuronParams(tau=tau, v_th=v_th, mode=FireMode.REAL)],
         timesteps=timesteps,
         input_shape=(len(w[0]),),
-        num_classes=len(w),
-        mode=MODE_REVERB,
     )
 
 
@@ -146,7 +145,7 @@ class TestBackwardStbp:
                         binarize=True, kind=DENSE, learn_alpha=True),
         ]
         neurons = [NeuronParams(tau=tau, v_th=0.0, mode=FireMode.REAL) for _ in layers]
-        return Network(layers, neurons, T, (5,), 3, MODE_LEARNABLE)
+        return Network(layers, neurons, T, (5,))
 
     def test_tau_zero_equals_per_timestep_backprop(self):
         # With tau = 0 the temporal term vanishes: gradients equal the sum of
@@ -438,6 +437,18 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError):
                 train(net, (ds.train_x, ds.train_y), TrainConfig(epochs=1, seed=3))
+
+    def test_folded_network_is_mode_error(self):
+        # Training would move the folded {-1, +1} weights and unit amplitudes
+        # off the inference form that the network still claims.
+        ds = two_gaussians(n_train=64, n_test=16, seed=0)
+        net = build_network("d8 d8", ds.input_shape, 2, MODE_LEARNABLE, timesteps=2, seed=0)
+        folded = fold_alpha(net)
+        before = [l.w_latent.copy() for l in folded.layers]
+        with pytest.raises(ModeError, match="fold_alpha"):
+            train(folded, (ds.train_x, ds.train_y), TrainConfig(epochs=1, seed=0))
+        for b, layer in zip(before, folded.layers):
+            np.testing.assert_array_equal(b, layer.w_latent)
 
     def test_empty_dataset_rejected(self):
         net = build_network("d128 d128", (4,), 2, MODE_REVERB, timesteps=1, seed=0)

@@ -6,6 +6,10 @@ under each of the three modes at one seed, as `reverb-snn train --seed N
 recipe and mode:
 
 * the sha256 of the trained and of the folded checkpoint;
+* the sha256 of the trained and of the folded parameters: each layer's
+  w_latent, alpha, affine_gamma and affine_beta and each neuron's scale, so
+  that a change of checkpoint format, which moves the file digests, still
+  shows whether the trained bits moved;
 * the epoch losses as float.hex();
 * accuracy and EnergyReport.as_dict() of dense eval on the trained and the
   folded network, and of event eval on the folded network, with the event
@@ -14,8 +18,8 @@ recipe and mode:
 Floats print with repr, which round-trips, so two commits whose runs are
 byte-identical print byte-identical output. PYTHONPATH picks the engine under
 test; the script calls only long-standing public API (train, fold_alpha,
-save_checkpoint, evaluate_dense, evaluate_event_driven), so one copy serves
-both sides.
+save_checkpoint, evaluate_dense, evaluate_event_driven) and reads only
+long-standing layer and neuron attributes, so one copy serves both sides.
 
 To compare the working tree with another checkout DIR (say, the parent
 commit, exported with `git archive` or cloned), from the repository root:
@@ -52,6 +56,15 @@ def _digest(net, workdir: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _params_digest(net) -> str:
+    h = hashlib.sha256()
+    for layer, nrn in zip(net.layers, net.neurons):
+        for arr in (layer.w_latent, layer.alpha, layer.affine_gamma, layer.affine_beta,
+                    nrn.scale):
+            h.update(b"none" if arr is None else repr(arr.shape).encode() + arr.tobytes())
+    return h.hexdigest()
+
+
 def _eval(result) -> dict:
     acc, report = result[:2]
     return {"accuracy": acc, "energy": report.as_dict()}
@@ -76,6 +89,8 @@ def fingerprint(recipe: Path, mode: str, seed: int, workdir: Path) -> dict:
     return {
         "trained_sha256": _digest(net, workdir),
         "folded_sha256": _digest(folded, workdir),
+        "trained_params_sha256": _params_digest(net),
+        "folded_params_sha256": _params_digest(folded),
         "epoch_losses": [float(r["loss"]).hex() for r in records],
         "dense_trained": _eval(rs.evaluate_dense(net, x, y)),
         "dense_folded": _eval(rs.evaluate_dense(folded, x, y)),
