@@ -35,6 +35,22 @@ reuse safe:
   a slot: no `block` callback of `_accumulate` re-enters one;
 - every array a kernel returns is a fresh allocation, never a view of a slot;
   `_accumulate`'s sum may be one, so every caller copies it out.
+
+A larger output's term block is a broadcast multiply (or sign select) of
+(terms, 1, row) by (terms, n, 1), the row being the output's size over its
+first axis. When numpy's ufunc buffer (8,192 elements by default) holds
+several rows, its iterator copies the operands through two such buffers to
+lengthen the inner loop. On rows of 128 to 4,095 elements the copy costs
+more than it saves (a four-tap block of conv 8->16 s2 at batch 64, rows of
+1,024: 84-106 us against 21-28 us; numpy 2.4, 2-vCPU Xeon), so
+`_accumulate` sizes the buffer to the row for those blocks and restores the
+caller's size in a `finally`. Only elementwise work runs under it (gathers,
+the multiply or select, the in-place adds, count_nonzero), so no bit moves:
+no order-sensitive reduction (sum, einsum, bincount) and no caller code.
+It is never set at import. Shorter rows and outputs of at most `_BINCOUNT`
+elements (the per-sample event path) keep numpy's buffering: the copy wins
+there (a 16-element buffer took the event conv's (72, 1, 16) x (72, 16, 1)
+block from 38 to 104 us). Rows of 4,096 or more are not copied anyway.
 """
 
 from __future__ import annotations
@@ -57,6 +73,8 @@ _BLOCK = 1 << 16
 # call ran 1.0-1.3x faster than the per-term loop at 256 elements (10-70x at
 # 4) and 0.85-0.92x as fast at 384.
 _BINCOUNT = 256
+# Rows that size numpy's ufunc buffer (see the module docstring): [128, 4096).
+_ROW_BUFFER, _ROW_BUFFER_END = 128, 4096
 
 
 _SCRATCH: dict[str, np.ndarray] = {}  # slot -> its buffer (see the module docstring)
@@ -125,31 +143,39 @@ def _accumulate(shape, count: int, block, signed: bool = False, counter=None) ->
     size = math.prod(shape)
     step = max(1, _BLOCK // max(size, 1))
     block_shape = (min(step, count),) + tuple(shape)
+    caller_bufsize = None
     if 0 < size <= _BINCOUNT:
         out, buf = np.zeros(shape), np.empty(block_shape)
     else:
         out, buf = _scratch("sum", shape), _scratch("terms", block_shape)
         out.fill(0.0)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        x, w = block(lo, hi)
-        terms = buf[: hi - lo]
-        if signed:
-            np.negative(x, out=terms)
-            np.copyto(terms, x, where=w > 0)
-        else:
-            np.multiply(x, w, out=terms)
-        if counter is not None:
-            counter.accumulations += int(np.count_nonzero(x)) * (terms.size // max(x.size, 1))
-            counter.weight_activation_mults += 0 if signed else terms.size
-        if 0 < out.size <= _BINCOUNT:
-            if lo:
-                terms[0] += out
-            out = np.bincount(_bins(hi - lo, out.size), terms.ravel(),
-                              out.size).reshape(out.shape)
-        else:
-            for term in terms:
-                out += term
+        row = size // max(shape[0], 1)
+        if _ROW_BUFFER <= row < _ROW_BUFFER_END:
+            caller_bufsize = np.setbufsize(row // 16 * 16)
+    try:
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            x, w = block(lo, hi)
+            terms = buf[: hi - lo]
+            if signed:
+                np.negative(x, out=terms)
+                np.copyto(terms, x, where=w > 0)
+            else:
+                np.multiply(x, w, out=terms)
+            if counter is not None:
+                counter.accumulations += int(np.count_nonzero(x)) * (terms.size // max(x.size, 1))
+                counter.weight_activation_mults += 0 if signed else terms.size
+            if 0 < out.size <= _BINCOUNT:
+                if lo:
+                    terms[0] += out
+                out = np.bincount(_bins(hi - lo, out.size), terms.ravel(),
+                                  out.size).reshape(out.shape)
+            else:
+                for term in terms:
+                    out += term
+    finally:
+        if caller_bufsize is not None:
+            np.setbufsize(caller_bufsize)
     return out
 
 

@@ -5,6 +5,9 @@ matmul and ascending (c_in, ky, kx) for conv2d, which is the kernels'
 accumulation contract, so kernel and oracle must agree bitwise.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -434,24 +437,34 @@ def _block_bytes(out_size: int, count: int) -> int:
     return 8 * out_size * min(count, max(1, numerics._BLOCK // out_size))
 
 
-def _conv_case():
+# numpy's two 64 KiB iteration buffers, which a buffered broadcast multiply
+# allocates on every call.
+ITERATION_BUFFERS = 2 * 8 * np.getbufsize()
+
+
+def _conv_case(batch):
+    """conv2d of a (batch, 8, 8, 8) batch by 16x8x3x3 kernels, stride 2,
+    padding 1: convnet-bars' second conv. Its rows ((batch, 4, 4) per
+    output channel) run under the row-sized ufunc buffer at the training
+    batch of 64, and under numpy's default at 256."""
     rng = np.random.default_rng(0)
-    x = rng.uniform(-1, 1, (256, 8, 8, 8))
+    x = rng.uniform(-1, 1, (batch, 8, 8, 8))
     kern = rng.uniform(-1, 1, (16, 8, 3, 3))
-    padded = 8 * 256 * 8 * 10 * 10
-    out = 8 * 256 * 16 * 4 * 4
+    padded = 8 * batch * 8 * 10 * 10
+    out = 8 * batch * 16 * 4 * 4
     block = _block_bytes(out // 8, 72)
     # A block's gathered patches are C_out times smaller than its terms.
-    return (lambda: conv2d(x, kern, 2, 1)), padded + kern.nbytes, out, block, out + block // 16
+    return ((lambda: conv2d(x, kern, 2, 1)), padded + kern.nbytes, out, block,
+            out + block // 16, 0)
 
 
-def _matmul_case():
+def _matmul_case(m, k, n):
     rng = np.random.default_rng(1)
-    a = rng.uniform(-1, 1, (256, 256))
-    b = rng.uniform(-1, 1, (256, 4))
-    out = 8 * 256 * 4
+    a = rng.uniform(-1, 1, (m, k))
+    b = rng.uniform(-1, 1, (k, n))
+    out = 8 * m * n
     # A block's operands are views of a's transposed copy and of b.
-    return (lambda: matmul(a, b)), a.nbytes + b.nbytes, out, _block_bytes(out // 8, 256), out
+    return (lambda: matmul(a, b)), a.nbytes + b.nbytes, out, _block_bytes(out // 8, k), out, 0
 
 
 def _event_conv_case():
@@ -470,8 +483,10 @@ def _event_conv_case():
     # blocks the reduction gathers, not from a second gather. The output has
     # at most numerics._BINCOUNT elements, so its term block and
     # np.bincount's sum are fresh, as well as the copy returned.
+    # Its blocks keep numpy's default buffering, iteration buffers and all
+    # (see the numerics module docstring).
     return ((lambda: addition_only_forward(layer, events, spikes.shape, OpCounter())),
-            operands, out, block, sample + 2 * out + block + block // 16)
+            operands, out, block, sample + 2 * out + block + block // 16, ITERATION_BUFFERS)
 
 
 def _peak_bytes(call) -> int:
@@ -483,8 +498,16 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("case", [_conv_case, _matmul_case, _event_conv_case],
-                         ids=["conv2d-b256", "matmul-256x256x4", "event-conv-one-sample"])
+TRANSIENT_CASES = {
+    "conv2d-b256": lambda: _conv_case(256),
+    "conv2d-b64": lambda: _conv_case(64),
+    "matmul-256x256x4": lambda: _matmul_case(256, 256, 4),
+    "matmul-256x16x16": lambda: _matmul_case(256, 16, 16),
+    "event-conv-one-sample": _event_conv_case,
+}
+
+
+@pytest.mark.parametrize("case", TRANSIENT_CASES.values(), ids=TRANSIENT_CASES.keys())
 def test_transient_memory_is_operands_output_and_one_block(case):
     """A first call, into an empty scratch store, allocates at most: its
     operands as it reads them (conv: the zero-padded input), twice its output
@@ -498,14 +521,31 @@ def test_transient_memory_is_operands_output_and_one_block(case):
     sum and the term block in scratch. So it allocates at most its fresh
     arrays (the result, a block's gathered inputs, the event kernel's
     scattered sample, and a smaller output's np.bincount sum and term block)
-    and 192 KiB: numpy's two 64 KiB iteration buffers of a broadcast
-    multiply, and index arrays and small objects. A large output's term
-    block allocated per call exceeds that."""
-    call, operands, out, block, fresh = case()
+    and 64 KiB for index arrays and small objects. A large output's term
+    block allocated per call exceeds that, and so do numpy's two 64 KiB
+    iteration buffers on the batched matmul. Only the one-sample event call,
+    which keeps numpy's buffering, is allowed those buffers."""
+    call, operands, out, block, fresh, buffers = case()
     with mock.patch.dict(numerics._SCRATCH, clear=True):
         first, repeat = _peak_bytes(call), _peak_bytes(call)
     assert first <= operands + 2 * out + 2 * block + 64 * 1024
-    assert repeat <= fresh + 192 * 1024
+    assert repeat <= fresh + buffers + 64 * 1024
+
+
+def test_large_reduction_allocates_only_its_gathered_blocks():
+    """The reduction of convnet-bars' second conv at the training batch of
+    64, repeated, allocates one block's gathered patches (C_out times
+    smaller than its terms) and 64 KiB for index arrays and small objects:
+    its rows are short, so a broadcast multiply at numpy's default buffer
+    size would copy every block through two 64 KiB iteration buffers."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (64, 8, 8, 8))
+    kern = rng.uniform(-1, 1, (16, 8, 3, 3))
+
+    def reduce():
+        numerics._accumulate(*numerics._conv_terms(x, kern, 2, 1))
+    reduce()
+    assert _peak_bytes(reduce) <= _block_bytes(16 * 64 * 4 * 4, 72) // 16 + 64 * 1024
 
 
 # Outputs of more than numerics._BINCOUNT elements, whose sum is scratch, at
@@ -572,3 +612,61 @@ class TestResultsOwnTheirMemory:
         for got, (_, want) in zip(results, calls):
             _assert_owns_its_memory(got)
             _assert_bitwise(got, want)
+
+
+class TestBufferRuleLeavesNoTrace:
+    """A larger output's blocks run under numpy's ufunc buffer sized to the
+    term row (see the numerics module docstring). The setting must be the
+    caller's again whenever a kernel returns or raises, and no result may
+    depend on the caller's own setting."""
+
+    CALLER_SIZES = (16, 8192, 65536)
+
+    def test_importing_the_engine_leaves_the_buffer_size(self):
+        check = ("import numpy as np; size = np.getbufsize(); import reverb_snn; "
+                 "assert np.getbufsize() == size, np.getbufsize()")
+        subprocess.run([sys.executable, "-c", check], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+    @pytest.mark.parametrize("bufsize", CALLER_SIZES)
+    def test_kernels_return_with_the_callers_buffer_size(self, bufsize):
+        rng = np.random.default_rng(11)
+        layer = BinaryLayer(w_latent=binarize_weights(rng.uniform(-1, 1, (16, 8, 3, 3))),
+                            alpha=np.ones(16), binarize=True, kind=CONV, stride=2, padding=1)
+        spikes = rng.uniform(0, 1, (8, 8, 8)) * (rng.random((8, 8, 8)) < 0.6)
+        calls = [
+            lambda: matmul(rng.uniform(-1, 1, (256, 16)), rng.uniform(-1, 1, (16, 16))),
+            lambda: matmul(rng.uniform(-1, 1, (1, 16)), rng.uniform(-1, 1, (16, 16))),
+            lambda: conv2d(rng.uniform(-1, 1, (64, 8, 8, 8)), layer.w_latent, 2, 1),
+            lambda: conv2d(rng.uniform(-1, 1, (8, 8, 8)), layer.w_latent, 2, 1),
+            lambda: addition_only_forward(layer, events_from_spikes(spikes), spikes.shape,
+                                          OpCounter()),
+        ]
+        with np.errstate():  # restores the buffer size on exit
+            np.setbufsize(bufsize)
+            for call in calls:
+                call()
+                assert np.getbufsize() == bufsize
+
+    def test_a_raising_block_leaves_the_callers_buffer_size(self):
+        seen = []
+
+        def block(lo, hi):
+            seen.append(np.getbufsize())
+            raise RuntimeError("block failed")
+
+        before = np.getbufsize()
+        # A (16, 256) output: rows of 256 elements, inside the rule.
+        with pytest.raises(RuntimeError, match="block failed"):
+            numerics._accumulate((16, 256), 4, block)
+        assert seen == [256]
+        assert np.getbufsize() == before
+
+    @given(kernel_calls(), st.sampled_from(CALLER_SIZES))
+    def test_results_do_not_depend_on_the_callers_buffer_size(self, case, bufsize):
+        call, want = case
+        with np.errstate():
+            np.setbufsize(bufsize)
+            got = call()
+            assert np.getbufsize() == bufsize
+        _assert_bitwise(got, want)

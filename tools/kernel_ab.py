@@ -7,9 +7,11 @@ sides) at the shapes the shipped recipes run: a training batch of 64, an
 eval batch of 256 and one sample (the event path). End to end, it also times
 `evaluate_event_driven` and `evaluate_dense` of each recipe's folded network
 on 64 test samples, which takes in the per-call costs (EventList checks,
-layer checks) the kernel cases build outside their timing. Every case is
-timed in interleaved rounds, the side that runs first alternating from round
-to round, so that a drift of the host's speed hits both sides alike.
+layer checks) the kernel cases build outside their timing, and one epoch of
+each recipe's training on 64 training samples (one batch of the recipe's
+64, from the same initial network on every call). Every case is timed in
+interleaved rounds, the side that runs first alternating from round to
+round, so that a drift of the host's speed hits both sides alike.
 
 From the repository root, with DIR a checkout of the parent commit (made with
 `git archive` or `git clone`):
@@ -19,11 +21,15 @@ From the repository root, with DIR a checkout of the parent commit (made with
 Each shape's outputs must be byte-equal on both sides, and each event
 shape's accumulation count equal (the event kernel runs with an OpCounter,
 as eval runs it); each evaluation's accuracy, `EnergyReport.as_dict()` and,
-on the event path, accumulations must be equal. The script checks that first
-and exits 1 naming the case on any difference. It then prints, per case, the
-median time per call of each side over the rounds and the median and
-quartiles of the per-round ratio (parent over change, the two timed back to
-back: above 1 means this tree is faster).
+on the event path, accumulations must be equal, and so must each training
+epoch's loss and trained parameters, byte for byte. The script checks that
+first and exits 1 naming the case on any difference. It then prints, per
+case, the median time per call of each side over the rounds and the median
+and quartiles of the per-round ratio (parent over change, the two timed back
+to back: above 1 means this tree is faster). Its header names the numpy
+version and numpy's ufunc buffer size (`np.getbufsize()`, in elements): the
+speed of `numerics._accumulate`'s broadcast multiplies rests on numpy's
+buffered iterator.
 Running it with DIR a second copy of this tree shows how far the ratios stray
 on that host with no change at all.
 
@@ -46,6 +52,7 @@ accuracies and `EnergyReport.as_dict()` must be equal, else it exits 1:
 from __future__ import annotations
 
 import argparse
+import copy
 import importlib.util
 import json
 import random
@@ -127,6 +134,29 @@ def _evaluation(recipe: str, evaluate: str, samples: int = EVAL_SAMPLES):
     return make
 
 
+def _training(recipe: str, samples: int = EVAL_SAMPLES):
+    """Setup of one epoch of the recipe's training on its first `samples`
+    training samples, from a copy of the same initial network each call. The
+    call returns the epoch's loss and the trained parameters' bytes."""
+    def make(e):
+        cfg = e.load_config(ROOT / "configs" / f"{recipe}.cfg")
+        data = e.load_dataset(cfg.dataset, seed=cfg.seed)
+        initial = e.build_network(
+            cfg.architecture, data.input_shape, data.num_classes, cfg.mode, cfg.timesteps,
+            cfg.tau, cfg.v_th, seed=cfg.seed, affine=cfg.affine)
+        tc = e.TrainConfig(epochs=1, batch_size=cfg.batch, lr0=cfg.lr0,
+                           momentum=cfg.momentum, seed=cfg.seed)
+        xy = data.train_x[:samples], data.train_y[:samples]
+
+        def call():
+            net, records = e.train(copy.deepcopy(initial), xy, tc)
+            params = b"".join(arr.tobytes() for layer in net.layers
+                              for _, arr in e.layers._params(layer))
+            return float(records[0]["loss"]).hex(), params
+        return call
+    return make
+
+
 def _differ(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return a.shape != b.shape or a.tobytes() != b.tobytes()
@@ -143,7 +173,8 @@ def cases(rng):
     inputs fire at about the trained recipes' rate. The conv gradients run at
     convnet-bars' training batch of 64: the kernel gradient of both convs,
     the input gradient of the second (the encoder's input needs none). Last
-    come both evaluations of each recipe (`_evaluation`).
+    come both evaluations (`_evaluation`) and one training epoch
+    (`_training`) of each recipe.
     """
     out = []
     k1 = rng.uniform(-1, 1, (8, 1, 3, 3))
@@ -186,6 +217,7 @@ def cases(rng):
     for recipe in RECIPES:
         out += [(f"{recipe} {evaluate} {EVAL_SAMPLES}", _evaluation(recipe, evaluate))
                 for evaluate in ("evaluate_event_driven", "evaluate_dense")]
+        out.append((f"{recipe} train 1 epoch of {EVAL_SAMPLES}", _training(recipe)))
     return out
 
 
@@ -262,6 +294,8 @@ def main(argv=None) -> int:
         p.error("--against is required")
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
+    print(f"numpy {np.__version__}, ufunc buffer {np.getbufsize()} elements, "
+          f"python {sys.version.split()[0]}", flush=True)
     if args.layouts is not None:
         if args.layouts < 2:
             p.error("--layouts must be at least 2")
