@@ -31,8 +31,11 @@ for the rings-tiny recipe's batch-256 eval, and 4.1 MiB for convnet-bars'
 (its padded 8-channel input 1.6 MiB, the encoder's sum and one-term block
 1 MiB each, the head's transposed operand 512 KiB). The rules that make the
 reuse safe:
-- the engine is single-threaded, and no kernel calls a kernel while it holds
-  a slot: no `block` callback of `_accumulate` re-enters one;
+- only the calling thread's kernels take slots: `conv2d_kernel_grad`, which
+  `training.backward_stbp` runs on a worker thread beside `conv2d` and
+  `conv2d_input_grad`, pads into a fresh array and takes none;
+- no kernel calls a kernel while it holds a slot: no `block` callback of
+  `_accumulate` re-enters one;
 - every array a kernel returns is a fresh allocation, never a view of a slot;
   `_accumulate`'s sum may be one, so every caller copies it out.
 
@@ -219,13 +222,15 @@ def _check_conv_args(sample_shape, kernels, stride, padding) -> tuple[int, int]:
     return conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding)
 
 
-def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, padding: int, scratch: bool = True) -> np.ndarray:
     """The (..., H, W) array x with its two trailing (spatial) axes
-    zero-padded, in scratch (see the module docstring)."""
+    zero-padded, in scratch (see the module docstring) or, if not `scratch`,
+    in a fresh array."""
     if padding == 0:
         return x
     h, w = x.shape[-2:]
-    out = _scratch("padded", x.shape[:-2] + (h + 2 * padding, w + 2 * padding))
+    shape = x.shape[:-2] + (h + 2 * padding, w + 2 * padding)
+    out = _scratch("padded", shape) if scratch else np.empty(shape)
     out.fill(0.0)
     out[..., padding : padding + h, padding : padding + w] = x
     return out
@@ -337,9 +342,10 @@ def conv2d_input_grad(grad_out, kernels, stride: int, padding: int, input_hw) ->
 
 def conv2d_kernel_grad(inp, grad_out, stride: int, padding: int, k: int) -> np.ndarray:
     """Gradient of conv2d w.r.t. its kernels, summed over the batch: one
-    gather of every tap's row and one einsum."""
+    gather of every tap's row and one einsum. It takes no scratch slot, so it
+    may run on a thread beside the other kernels (see the module docstring)."""
     x = as_f64(inp)
     g = as_f64(grad_out)
-    rows, offsets = _windows(_pad_spatial(x, padding), k, stride, g.shape[2:])
+    rows, offsets = _windows(_pad_spatial(x, padding, scratch=False), k, stride, g.shape[2:])
     gk = np.einsum("bohw,tbhw->ot", g, rows[offsets])
     return gk.reshape(g.shape[1], x.shape[1], k, k)

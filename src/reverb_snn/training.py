@@ -10,12 +10,24 @@ all timesteps; binarized layers route them through the straight-through
 window, and learnable amplitudes receive the per-channel sum of
 grad_u * (sign(W) . O).
 
+Each conv layer's kernel gradient (one einsum, which releases the GIL) runs
+on a persistent worker thread, made by the first backward pass through a
+conv layer, while the calling thread goes on with the rest, which never
+reads it; that kernel takes no scratch slot (see `numerics`). After the loop
+the results are added to the weight gradients in submission order
+(descending t, then l), so each layer sums the same terms in the same order
+as a serial pass and no bit moves. No task outlives its `backward_stbp`
+call. Dense layers' einsums stay inline: a task's round trip (about 36 us)
+costs more than they do.
+
 Optimization is plain SGD with classical momentum and a cosine learning-rate
 schedule decaying to zero.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -208,56 +220,80 @@ def backward_stbp(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> G
     g_out_t = as_f64(loss_grad) / T
     g_u_next: list[np.ndarray | None] = [None] * nl
 
-    for t in reversed(range(T)):
-        g_spike = None  # gradient flowing into layer l's output at this timestep
-        for l in reversed(range(nl)):
-            layer, nrn = net.layers[l], net.neurons[l]
-            u_pre = cache.u_pre[t][l]
+    pending = []  # (l, future of layer l's conv kernel gradient), in submission order
+    try:
+        for t in reversed(range(T)):
+            g_spike = None  # gradient flowing into layer l's output at this timestep
+            for l in reversed(range(nl)):
+                layer, nrn = net.layers[l], net.neurons[l]
+                u_pre = cache.u_pre[t][l]
 
-            if l == nl - 1:
-                # Non-firing head: output is the membrane itself, and with no
-                # reset the temporal factor is plain tau.
-                g_u = g_out_t.copy()
-                if g_u_next[l] is not None:
-                    g_u += g_u_next[l] * nrn.tau
-            else:
-                fired = u_pre >= threshold_for(u_pre, nrn)
-                g_u = g_spike * fire_backward(u_pre, nrn)
-                if g_u_next[l] is not None:
-                    g_u = g_u + g_u_next[l] * (nrn.tau * (~fired))
-            g_u_next[l] = g_u
-
-            if layer.has_affine:
-                raw = cache.raw_current[t][l]
-                grads.gamma[l] += _sum_per_channel(g_u * raw)
-                grads.beta[l] += _sum_per_channel(g_u)
-                g_c = _per_channel(layer.affine_gamma, g_u) * g_u
-            else:
-                g_c = g_u
-
-            x_in = cache.inputs[t][l]
-            if layer.kind == L.DENSE:
-                g_w_eff = np.einsum("bi,bj->ij", g_c, x_in)
-            else:
-                g_w_eff = conv2d_kernel_grad(x_in, g_c, layer.stride, layer.padding,
-                                             layer.w_latent.shape[2])
-            if layer.binarize:
-                g_w_b = L._alpha_over_outputs(layer) * g_w_eff
-                grads.w[l] += L.ste_weight_grad(g_w_b, layer.w_latent)
-                if layer.learn_alpha:
-                    grads.alpha[l] += L.alpha_grad(layer, g_c, x_in, surrogate)
-            else:
-                grads.w[l] += g_w_eff
-
-            if l > 0:
-                w = L.effective_weights(layer, surrogate) if layer.binarize else layer.w_latent
-                if layer.kind == L.DENSE:
-                    g_x = np.einsum("bi,ij->bj", g_c, w)
+                if l == nl - 1:
+                    # Non-firing head: output is the membrane itself, and with no
+                    # reset the temporal factor is plain tau.
+                    g_u = g_out_t.copy()
+                    if g_u_next[l] is not None:
+                        g_u += g_u_next[l] * nrn.tau
                 else:
-                    g_x = conv2d_input_grad(g_c, w, layer.stride, layer.padding,
-                                            x_in.shape[2:])
-                g_spike = g_x.reshape(cache.u_pre[t][l - 1].shape)
+                    fired = u_pre >= threshold_for(u_pre, nrn)
+                    g_u = g_spike * fire_backward(u_pre, nrn)
+                    if g_u_next[l] is not None:
+                        g_u = g_u + g_u_next[l] * (nrn.tau * (~fired))
+                g_u_next[l] = g_u
+
+                if layer.has_affine:
+                    raw = cache.raw_current[t][l]
+                    grads.gamma[l] += _sum_per_channel(g_u * raw)
+                    grads.beta[l] += _sum_per_channel(g_u)
+                    g_c = _per_channel(layer.affine_gamma, g_u) * g_u
+                else:
+                    g_c = g_u
+
+                x_in = cache.inputs[t][l]
+                if layer.kind == L.DENSE:
+                    _add_weight_grad(grads, l, layer, np.einsum("bi,bj->ij", g_c, x_in))
+                else:
+                    pending.append((l, _worker().submit(
+                        conv2d_kernel_grad, x_in, g_c, layer.stride, layer.padding,
+                        layer.w_latent.shape[2])))
+                if layer.binarize and layer.learn_alpha:
+                    grads.alpha[l] += L.alpha_grad(layer, g_c, x_in, surrogate)
+
+                if l > 0:
+                    w = L.effective_weights(layer, surrogate) if layer.binarize \
+                        else layer.w_latent
+                    if layer.kind == L.DENSE:
+                        g_x = np.einsum("bi,ij->bj", g_c, w)
+                    else:
+                        g_x = conv2d_input_grad(g_c, w, layer.stride, layer.padding,
+                                                x_in.shape[2:])
+                    g_spike = g_x.reshape(cache.u_pre[t][l - 1].shape)
+        for l, task in pending:
+            _add_weight_grad(grads, l, net.layers[l], task.result())
+    finally:  # after a failure: drop the tasks not begun, wait for the one running
+        for _, task in pending:
+            if not task.cancel():
+                task.exception()
     return grads
+
+
+def _add_weight_grad(grads: Gradients, l: int, layer: L.BinaryLayer, g_w_eff) -> None:
+    """Accumulate layer l's weight gradient, through the amplitude and the
+    straight-through window on a binarized layer."""
+    if layer.binarize:
+        g_w_eff = L.ste_weight_grad(L._alpha_over_outputs(layer) * g_w_eff, layer.w_latent)
+    grads.w[l] += g_w_eff
+
+
+@functools.cache
+def _worker():
+    """The thread that runs conv kernel gradients (see the module docstring)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="kernel-grad")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the worker but not its thread
+    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 def _sum_per_channel(arr: np.ndarray) -> np.ndarray:

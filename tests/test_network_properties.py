@@ -1,17 +1,20 @@
 """Properties over random networks built from random small layer specs: the
 amplitude fold is exact for power-of-two amplitudes, checkpoints round-trip
 bit for bit, the event path equals the dense path bit for bit and in its SOP
-count, and the backward pass matches finite differences."""
+count, the backward pass matches finite differences, and its worker thread
+moves no gradient bit."""
 
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from reverb_snn import training
 from reverb_snn.checkpoint import load_checkpoint, save_checkpoint
 from reverb_snn.errors import DimensionError
 from reverb_snn.events import evaluate_dense, evaluate_event_driven, event_forward
@@ -19,6 +22,7 @@ from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, build_network
 from reverb_snn.reparam import fold_alpha
 from reverb_snn.training import forward_pass, gradient_check
 from test_events import _sop_oracle
+from test_training import InlineExecutor, gradient_bytes
 
 # tau and a nonzero v_th stay at or above 2**-10 and amplitudes within
 # 2**-3..2**3, so no membrane, threshold or spike of a few timesteps of unit
@@ -60,12 +64,12 @@ def specs(draw, max_side=6):
 
 @st.composite
 def networks(draw, mode=st.sampled_from(MODES), amplitudes=st.integers(-3, 3),
-             spec=specs()):
+             spec=specs(), timesteps=st.integers(1, 4)):
     """A network from a random spec; binarized layers get per-channel
     amplitudes 2**k, and affine layers a random gamma and beta. A spec whose
     conv empties the map must be a DimensionError."""
     arch, shape, empties = draw(spec)
-    args = (arch, shape, draw(st.integers(2, 4)), draw(mode), draw(st.integers(1, 4)),
+    args = (arch, shape, draw(st.integers(2, 4)), draw(mode), draw(timesteps),
             draw(TAUS), draw(THRESHOLDS), draw(st.integers(0, 2**16)), draw(st.booleans()))
     if empties:
         with pytest.raises(DimensionError):
@@ -136,3 +140,16 @@ def test_gradient_check_on_nets_of_at_most_12_neurons(case):
     assume(sum(math.prod(shape) for shape in net.layer_output_shapes()) <= 12)
     report = gradient_check(net, probes, np.arange(len(probes)) % net.num_classes)
     assert report.passed, f"max rel err {report.max_rel}"
+
+
+@settings(max_examples=40)
+@given(networks(spec=specs().filter(lambda spec: spec[0].startswith("c")),
+                timesteps=st.integers(1, 3)))
+def test_kernel_grad_worker_moves_no_gradient_bit(case):
+    """backward_stbp with its conv kernel gradients on the worker thread
+    equals, byte for byte, a run whose worker runs each task inline."""
+    net, probes = case
+    labels = np.arange(len(probes)) % net.num_classes
+    threaded = gradient_bytes(net, probes, labels)
+    with mock.patch.object(training, "_worker", InlineExecutor):
+        assert gradient_bytes(net, probes, labels) == threaded

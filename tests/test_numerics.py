@@ -8,6 +8,8 @@ accumulation contract, so kernel and oracle must agree bitwise.
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -612,6 +614,57 @@ class TestResultsOwnTheirMemory:
         for got, (_, want) in zip(results, calls):
             _assert_owns_its_memory(got)
             _assert_bitwise(got, want)
+
+
+class TestKernelGradBesideTheOtherKernels:
+    """training.backward_stbp runs conv2d_kernel_grad on a worker thread while
+    the calling thread runs the other kernels, so it must take no scratch
+    slot (see the numerics module docstring)."""
+
+    def test_kernel_grad_takes_no_scratch_slot(self):
+        rng = np.random.default_rng(12)
+        x, g = rng.uniform(0, 1, (64, 8, 8, 8)), rng.uniform(-1, 1, (64, 16, 4, 4))
+        with mock.patch.dict(numerics._SCRATCH, clear=True):
+            conv2d_kernel_grad(x, g, 2, 1, 3)
+            assert not numerics._SCRATCH
+
+    def test_kernel_grads_on_a_second_thread_match_serial_calls(self):
+        """20 kernel gradients of convnet-bars' two convs at the training
+        batch run on a second thread while this one runs the forward convs and
+        the head's matmul; every result on both threads is byte-equal to a
+        serial call's."""
+        rng = np.random.default_rng(13)
+        x1, x2 = rng.uniform(0, 1, (64, 1, 8, 8)), rng.uniform(0, 1, (64, 8, 8, 8))
+        g1, g2 = rng.uniform(-1, 1, (64, 8, 8, 8)), rng.uniform(-1, 1, (64, 16, 4, 4))
+        k1, k2 = rng.uniform(-1, 1, (8, 1, 3, 3)), rng.uniform(-1, 1, (16, 8, 3, 3))
+        xh, head = rng.uniform(0, 1, (64, 256)), rng.uniform(-1, 1, (256, 4))
+        grads = [lambda: conv2d_kernel_grad(x1, g1, 1, 1, 3),
+                 lambda: conv2d_kernel_grad(x2, g2, 2, 1, 3)]
+        forwards = [lambda: conv2d(x1, k1, 1, 1), lambda: conv2d(x2, k2, 2, 1),
+                    lambda: matmul(xh, head)]
+        serial_grads = [call().tobytes() for call in grads]
+        serial_forwards = [call().tobytes() for call in forwards]
+        threaded_grads, threaded_forwards = [], []
+
+        def run_grads():
+            for i in range(20):
+                threaded_grads.append(grads[i % 2]().tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(target=run_grads)
+            thread.start()
+            deadline = time.monotonic() + 60
+            while (thread.is_alive() or not threaded_forwards) and time.monotonic() < deadline:
+                i = len(threaded_forwards)
+                threaded_forwards.append((i % 3, forwards[i % 3]().tobytes()))
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert threaded_grads == [serial_grads[i % 2] for i in range(20)]
+        assert all(got == serial_forwards[i] for i, got in threaded_forwards)
 
 
 class TestBufferRuleLeavesNoTrace:

@@ -1,10 +1,19 @@
 """Unrolled forward, loss, backward-through-time, and the optimizer."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import Future
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from reverb_snn import training
-from reverb_snn.datasets import two_gaussians
+from reverb_snn import layers, training
+from reverb_snn.datasets import bar_images, two_gaussians
 from reverb_snn.errors import DimensionError, ModeError, StateError, TrainingError
 from reverb_snn.layers import ALPHA_FLOOR, DENSE, BinaryLayer, binarize_weights
 from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, Network, build_network
@@ -471,3 +480,133 @@ class TestTrain:
         mid = net.layers[1]
         assert np.abs(mid.w_latent).max() <= 1.0
         assert mid.alpha.min() >= ALPHA_FLOOR
+
+
+class InlineExecutor:
+    """An executor that runs each task in the submitting thread, at submission."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def gradient_bytes(net, x, y) -> list:
+    """The bytes of every array of backward_stbp's Gradients on the batch."""
+    outputs, cache = forward_pass(net, x)
+    grads = backward_stbp(net, cache, ce_loss_grad(aggregate_output(outputs), y))
+    return [None if g is None else g.tobytes()
+            for f in fields(grads) for g in getattr(grads, f.name)]
+
+
+def _convnet_bars_batch(seed=0):
+    """convnet-bars' network and a training batch of 64 bar images."""
+    ds = bar_images(n_train=64, n_test=4, seed=seed)
+    net = build_network("c8 c16s2", ds.input_shape, ds.num_classes, MODE_LEARNABLE,
+                        timesteps=2, seed=seed)
+    return net, ds.train_x, ds.train_y
+
+
+class TestKernelGradWorker:
+    """backward_stbp runs each conv layer's kernel gradient on a worker thread
+    and joins the results in submission order (see the training docstring)."""
+
+    def test_worker_moves_no_bit_at_convnet_bars_training_shapes(self, monkeypatch):
+        net, x, y = _convnet_bars_batch()
+        threaded = gradient_bytes(net, x, y)
+        monkeypatch.setattr(training, "_worker", InlineExecutor)
+        assert gradient_bytes(net, x, y) == threaded
+
+    def test_kernel_grad_runs_off_the_calling_thread(self, monkeypatch):
+        net, x, y = _convnet_bars_batch()
+        kernel_grad, threads = training.conv2d_kernel_grad, []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return kernel_grad(*args)
+        monkeypatch.setattr(training, "conv2d_kernel_grad", recording)
+        gradient_bytes(net, x, y)
+        assert len(threads) == 4  # 2 conv layers x 2 timesteps
+        assert threading.current_thread() not in threads
+
+    @pytest.mark.parametrize("failing", [None, "kernel_grad", "alpha_grad"])
+    def test_no_task_outlives_the_call(self, monkeypatch, failing):
+        """Each task sleeps, so one still queued or running when backward_stbp
+        returns or raises would be seen; the first task, or the calling
+        thread's first alpha_grad, raises in the failing runs."""
+        net, x, y = _convnet_bars_batch()
+        error = RuntimeError("planted")
+        kernel_grad, worker = training.conv2d_kernel_grad, training._worker()
+        futures, calls = [], []
+
+        class Recording:
+            def submit(self, *args):
+                futures.append(worker.submit(*args))
+                return futures[-1]
+
+        def slow_kernel_grad(*args):
+            calls.append(args)
+            time.sleep(0.02)
+            if failing == "kernel_grad" and len(calls) == 1:
+                raise error
+            return kernel_grad(*args)
+
+        def failing_alpha_grad(*args):
+            raise error
+
+        monkeypatch.setattr(training, "_worker", Recording)
+        monkeypatch.setattr(training, "conv2d_kernel_grad", slow_kernel_grad)
+        if failing == "alpha_grad":
+            monkeypatch.setattr(layers, "alpha_grad", failing_alpha_grad)
+        if failing is None:
+            gradient_bytes(net, x, y)
+        else:
+            with pytest.raises(RuntimeError) as info:
+                gradient_bytes(net, x, y)
+            assert info.value is error
+        assert futures and all(f.done() for f in futures)
+
+    def test_failed_task_raises_and_training_goes_on(self, monkeypatch):
+        net, x, y = _convnet_bars_batch()
+        error = ValueError("planted")
+
+        def failing(*args):
+            raise error
+        monkeypatch.setattr(training, "conv2d_kernel_grad", failing)
+        with pytest.raises(ValueError) as info:
+            train(net, (x, y), TrainConfig(epochs=1, batch_size=64, lr0=0.02, seed=0))
+        assert info.value is error
+        monkeypatch.undo()
+        _, metrics = train(net, (x, y), TrainConfig(epochs=2, batch_size=32, lr0=0.02, seed=0))
+        assert len(metrics) == 2 and all(np.isfinite(m["loss"]) for m in metrics)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_worker(self):
+        """A child forked after a backward pass inherits the executor but not
+        its thread; its backward pass must not wait forever on a task."""
+        net, x, y = _convnet_bars_batch()
+        want = gradient_bytes(net, x, y)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if gradient_bytes(net, x, y) == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not done[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_import_starts_no_thread(self):
+        check = ("import sys, threading; import reverb_snn; "
+                 "assert threading.active_count() == 1, threading.enumerate(); "
+                 "assert 'concurrent.futures' not in sys.modules")
+        subprocess.run([sys.executable, "-c", check], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))

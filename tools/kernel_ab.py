@@ -29,7 +29,9 @@ and quartiles of the per-round ratio (parent over change, the two timed back
 to back: above 1 means this tree is faster). Its header names the numpy
 version and numpy's ufunc buffer size (`np.getbufsize()`, in elements): the
 speed of `numerics._accumulate`'s broadcast multiplies rests on numpy's
-buffered iterator.
+buffered iterator. It also names how many CPUs the process may run on
+(`os.sched_getaffinity`): training runs the conv kernel gradient on a worker
+thread, which gains only with a second CPU.
 Running it with DIR a second copy of this tree shows how far the ratios stray
 on that host with no change at all.
 
@@ -41,10 +43,13 @@ after the other (never two at once), the side that runs first alternating.
 Each child allocates a random pad of 0-256 KiB before it imports its engine,
 which shifts the heap, then times `evaluate_dense` of the recipe's folded
 network on 256 test samples (the call shape of perfbench's dense eval) and
-counts the minor page faults of those calls. The script prints per recipe
-each side's median time and faults per call over the layouts, and the median
-and quartiles of the per-round ratio (parent over change). The children's
-accuracies and `EnergyReport.as_dict()` must be equal, else it exits 1:
+one training epoch of the recipe (as the in-process case runs it), and
+counts the minor page faults of those calls. Training's worker thread gets
+a malloc arena of its own, so its heap layout is a second one. The script
+prints per recipe and call each side's median time and faults per call over
+the layouts, and the median and quartiles of the per-round ratio (parent
+over change). The children's accuracies, `EnergyReport.as_dict()`, epoch
+losses and trained parameters must be equal, else it exits 1:
 
     python3 tools/kernel_ab.py --against DIR --layouts 20
 """
@@ -53,8 +58,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import importlib.util
 import json
+import os
 import random
 import resource
 import statistics
@@ -71,7 +78,7 @@ RECIPES = ("rings-tiny", "convnet-bars")
 EVAL_SAMPLES = 64
 LAYOUT_SAMPLES = 256  # perfbench's dense-eval batch: the recipes' whole test split
 LAYOUT_PAD = 256 * 1024  # largest heap shift a fresh-process child allocates
-CHILD_S = 0.5         # each child times calls for at least this long
+CHILD_S = 0.5         # each child times each call for at least this long
 
 
 def load_engine(src: Path, name: str):
@@ -229,24 +236,35 @@ def _per_call(fn, number: int) -> float:
     return (time.perf_counter() - t0) / number
 
 
+def _layout_calls(recipe: str) -> dict:
+    """Label -> setup of each call a fresh-process child times."""
+    return {f"evaluate_dense {LAYOUT_SAMPLES}":
+            _evaluation(recipe, "evaluate_dense", LAYOUT_SAMPLES),
+            f"train 1 epoch of {EVAL_SAMPLES}": _training(recipe)}
+
+
 def _child(src: Path, recipe: str, pad: int) -> int:
     """One fresh-process layout: shift the heap by `pad` bytes, import the
-    engine under `src`, then time `evaluate_dense` of the recipe on
-    LAYOUT_SAMPLES samples for at least CHILD_S seconds. Prints one JSON
-    line: the median ms per call, the minor faults per call and the call's
+    engine under `src`, then time each of the recipe's `_layout_calls` for
+    at least CHILD_S seconds. Prints one JSON line: per call, the median ms
+    per call, the minor faults per call and the sha256 of the call's
     result."""
     shift = bytes(pad)  # noqa: F841 -- held for the process's life
-    call = _evaluation(recipe, "evaluate_dense", LAYOUT_SAMPLES)(load_engine(src, "reverb_snn"))
-    result = call()
-    times, faults, t_end = [], 0, time.perf_counter() + CHILD_S
-    while len(times) < 5 or time.perf_counter() < t_end:
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
-    print(json.dumps({"ms": statistics.median(times) * 1e3, "faults": faults / len(times),
-                      "result": repr(result)}))
+    engine = load_engine(src, "reverb_snn")
+    runs = {}
+    for label, make in _layout_calls(recipe).items():
+        call = make(engine)
+        result = call()
+        times, faults, t_end = [], 0, time.perf_counter() + CHILD_S
+        while len(times) < 5 or time.perf_counter() < t_end:
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        runs[label] = {"ms": statistics.median(times) * 1e3, "faults": faults / len(times),
+                       "result": hashlib.sha256(repr(result).encode()).hexdigest()}
+    print(json.dumps(runs))
     return 0
 
 
@@ -261,18 +279,20 @@ def _layouts(srcs: dict, n: int) -> int:
                         recipe, "--pad", str(rng.randrange(LAYOUT_PAD + 1))]
                 done = subprocess.run(argv, capture_output=True, text=True, check=True)
                 runs[side].append(json.loads(done.stdout.splitlines()[-1]))
-            if runs["parent"][-1]["result"] != runs["change"][-1]["result"]:
-                print(f"outputs differ: {recipe} evaluate_dense {LAYOUT_SAMPLES}")
-                return 1
-        ms = {side: [run["ms"] for run in runs[side]] for side in runs}
-        q1, ratio, q3 = statistics.quantiles(
-            [p / c for p, c in zip(ms["parent"], ms["change"])], n=4)
-        line = "  ".join(
-            f"{side} {statistics.median(ms[side]):7.3f} ms "
-            f"{statistics.median(run['faults'] for run in runs[side]):8.1f} faults"
-            for side in runs)
-        print(f"{recipe} evaluate_dense {LAYOUT_SAMPLES}, {n} layouts: {line}  "
-              f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
+            for label, run in runs["parent"][-1].items():
+                if run["result"] != runs["change"][-1][label]["result"]:
+                    print(f"outputs differ: {recipe} {label}")
+                    return 1
+        for label in _layout_calls(recipe):
+            ms = {side: [run[label]["ms"] for run in runs[side]] for side in runs}
+            q1, ratio, q3 = statistics.quantiles(
+                [p / c for p, c in zip(ms["parent"], ms["change"])], n=4)
+            line = "  ".join(
+                f"{side} {statistics.median(ms[side]):7.3f} ms "
+                f"{statistics.median(run[label]['faults'] for run in runs[side]):8.1f} faults"
+                for side in runs)
+            print(f"{recipe} {label}, {n} layouts: {line}  "
+                  f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
     print(f"all outputs equal over {n} layouts of {len(RECIPES)} recipes")
     return 0
 
@@ -283,7 +303,8 @@ def main(argv=None) -> int:
                    help="checkout whose DIR/src engine is the parent side")
     p.add_argument("--rounds", type=int, default=15)
     p.add_argument("--layouts", type=int, metavar="N",
-                   help="time dense eval in N fresh-process layouts per side and recipe")
+                   help="time dense eval and a training epoch in N fresh-process "
+                        "layouts per side and recipe")
     p.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--recipe", choices=RECIPES, help=argparse.SUPPRESS)
     p.add_argument("--pad", type=int, help=argparse.SUPPRESS)
@@ -295,7 +316,8 @@ def main(argv=None) -> int:
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
     print(f"numpy {np.__version__}, ufunc buffer {np.getbufsize()} elements, "
-          f"python {sys.version.split()[0]}", flush=True)
+          f"python {sys.version.split()[0]}, {len(os.sched_getaffinity(0))} CPUs usable",
+          flush=True)
     if args.layouts is not None:
         if args.layouts < 2:
             p.error("--layouts must be at least 2")
