@@ -41,19 +41,18 @@ class RunConfig:
     affine: bool = False
 
     def __post_init__(self):
-        rules = (("mode", self.mode in MODES, f"one of {MODES}"),
-                 ("timesteps", self.timesteps >= 1, ">= 1"), ("batch", self.batch >= 1, ">= 1"),
-                 ("epochs", self.epochs >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"))
-        for name, ok, rule in rules:
-            if not ok:
-                raise ParseError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if self.mode not in MODES:
+            raise ParseError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.timesteps < 1:
+            raise ParseError(f"timesteps must be >= 1, got {self.timesteps!r}")
         parse_spec(self.architecture)
-        # The classes that own tau, v_th, lr0 and momentum check them and name the key.
+        # NeuronParams and TrainConfig check the other values, naming the key (batch_size: batch).
         try:
             NeuronParams(tau=self.tau, v_th=self.v_th)
-            TrainConfig(lr0=self.lr0, momentum=self.momentum)
+            TrainConfig(epochs=self.epochs, batch_size=self.batch, lr0=self.lr0,
+                        momentum=self.momentum, seed=self.seed)
         except ValueError as exc:
-            raise ParseError(str(exc)) from None
+            raise ParseError(str(exc).replace("batch_size", "batch")) from None
 
 
 _PARSERS = {k: _parse_bool if t is bool else t for k, t in get_type_hints(RunConfig).items()}

@@ -140,9 +140,9 @@ def _parse_token(token: str) -> tuple[str, int, int, int] | None:
     return None
 
 
-def parse_spec(arch: str) -> list[tuple[str, int, int, int]]:
-    """The hidden layers of `arch`, an alias or a spec, as (kind, width,
-    stride, padding); ParseError naming the first bad token."""
+def parse_spec(arch: str) -> list[tuple[str, tuple[str, int, int, int]]]:
+    """The hidden layers of `arch`, an alias or a spec, as (token, (kind,
+    width, stride, padding)); ParseError naming the first bad token."""
     tokens = ARCHITECTURES.get(arch, arch).split()
     if not tokens:
         raise ParseError(f"architecture {arch!r} has no layers")
@@ -155,9 +155,9 @@ def parse_spec(arch: str) -> list[tuple[str, int, int, int]]:
         if not (layer[1] and layer[2]):
             raise ParseError(f"architecture {arch!r}: token {token!r} needs a width "
                              "and stride of at least 1")
-        if layer[0] == CONV and hidden and hidden[-1][0] == DENSE:
+        if layer[0] == CONV and hidden and hidden[-1][1][0] == DENSE:
             raise ParseError(f"architecture {arch!r}: conv token {token!r} after a dense token")
-        hidden.append(layer)
+        hidden.append((token, layer))
     return hidden
 
 
@@ -178,11 +178,10 @@ def build_network(
     stream."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    specs = parse_spec(arch) + [(DENSE, num_classes, 1, 0)]
-    tokens = ARCHITECTURES.get(arch, arch).split() + [f"d{num_classes}"]
+    specs = parse_spec(arch) + [(f"d{num_classes}", (DENSE, num_classes, 1, 0))]
     rng = np.random.default_rng(seed)
     shape, layers = tuple(input_shape), []
-    for i, (token, (kind, width, stride, padding)) in enumerate(zip(tokens, specs)):
+    for i, (token, (kind, width, stride, padding)) in enumerate(specs):
         w_shape = (width, shape[0], 3, 3) if kind == CONV else (width, math.prod(shape))
         middle = 0 < i < len(specs) - 1
         try:

@@ -17,23 +17,22 @@ guarantee. `_windows` is the one map from a kernel tap to the input positions
 it meets, as rows of one strided view of the padded batch; the forward, the
 conv event branch and both conv gradients read or write those rows.
 
-Arrays that do not leave a kernel call live in one scratch store
-(`_scratch`): `_accumulate`'s sum and term block for an output larger than
-`_BINCOUNT`, `matmul`'s transposed left operand and the conv's zero-padded
-input. Each slot is one flat float64 buffer, grown to the largest request,
-never shrunk, and viewed in the shape of each call; it starts on a 64-byte
-cache line. Allocated and freed on every call, these arrays made a kernel's
-speed depend on the process's heap layout: where glibc placed them (the same
-rings-tiny eval ran x0.85-0.91 as fast at 16-48 bytes from a cache line)
-and whether freeing them gave pages back to the system, to be faulted in on
-the next call. The slots retain what the largest call of each needed: 576 KiB
-for the rings-tiny recipe's batch-256 eval, and 4.1 MiB for convnet-bars'
-(its padded 8-channel input 1.6 MiB, the encoder's sum and one-term block
-1 MiB each, the head's transposed operand 512 KiB). The rules that make the
-reuse safe:
-- only the calling thread's kernels take slots: `conv2d_kernel_grad`, which
-  `training.backward_stbp` runs on a worker thread beside `conv2d` and
-  `conv2d_input_grad`, pads into a fresh array and takes none;
+Arrays that do not leave a kernel call live in scratch slots (`_scratch`):
+`_accumulate`'s sum and term block for an output larger than `_BINCOUNT`,
+`matmul`'s transposed left operand and the conv's zero-padded input. Each
+slot is one flat float64 buffer, grown to the largest request, never shrunk,
+and viewed in the shape of each call; it starts on a 64-byte cache line.
+Each thread has slots of its own (`_SLOTS`, freed when it ends), so every
+kernel is safe on any thread. Allocated and freed on every call, these
+arrays made a kernel's speed depend on the process's heap layout: where
+glibc placed them (the same rings-tiny eval ran x0.85-0.91 as fast at 16-48
+bytes from a cache line) and whether freeing them gave pages back to the
+system, to be faulted in on the next call. The slots retain what the largest
+call of each needed: 576 KiB for the rings-tiny recipe's batch-256 eval, and
+4.1 MiB for convnet-bars' (its padded 8-channel input 1.6 MiB, the encoder's
+sum and one-term block 1 MiB each, the head's transposed operand 512 KiB);
+training's kernel-gradient worker keeps one padded slot, 400 KiB at
+convnet-bars' training batch of 64. Two rules make the reuse safe:
 - no kernel calls a kernel while it holds a slot: no `block` callback of
   `_accumulate` re-enters one;
 - every array a kernel returns is a fresh allocation, never a view of a slot;
@@ -60,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -80,7 +80,7 @@ _BINCOUNT = 256
 _ROW_BUFFER, _ROW_BUFFER_END = 128, 4096
 
 
-_SCRATCH: dict[str, np.ndarray] = {}  # slot -> its buffer (see the module docstring)
+_SLOTS = threading.local()  # each thread's slot -> its buffer (see the module docstring)
 
 
 def as_f64(x) -> np.ndarray:
@@ -92,11 +92,12 @@ def _scratch(slot: str, shape) -> np.ndarray:
     buffer, which grows to fit. The buffer starts on a 64-byte cache line,
     where malloc aligns to 16 bytes only."""
     size = math.prod(shape)
-    buf = _SCRATCH.get(slot)
+    slots = vars(_SLOTS)  # the calling thread's
+    buf = slots.get(slot)
     if buf is None or buf.size < size:
         raw = np.empty(size + 7)
         skip = -raw.ctypes.data % 64 // 8
-        buf = _SCRATCH[slot] = raw[skip : skip + size]
+        buf = slots[slot] = raw[skip : skip + size]
     return np.ndarray(shape, np.float64, buf)
 
 
@@ -222,15 +223,14 @@ def _check_conv_args(sample_shape, kernels, stride, padding) -> tuple[int, int]:
     return conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding)
 
 
-def _pad_spatial(x: np.ndarray, padding: int, scratch: bool = True) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     """The (..., H, W) array x with its two trailing (spatial) axes
-    zero-padded, in scratch (see the module docstring) or, if not `scratch`,
-    in a fresh array."""
+    zero-padded, in scratch (see the module docstring)."""
     if padding == 0:
         return x
     h, w = x.shape[-2:]
     shape = x.shape[:-2] + (h + 2 * padding, w + 2 * padding)
-    out = _scratch("padded", shape) if scratch else np.empty(shape)
+    out = _scratch("padded", shape)
     out.fill(0.0)
     out[..., padding : padding + h, padding : padding + w] = x
     return out
@@ -342,10 +342,9 @@ def conv2d_input_grad(grad_out, kernels, stride: int, padding: int, input_hw) ->
 
 def conv2d_kernel_grad(inp, grad_out, stride: int, padding: int, k: int) -> np.ndarray:
     """Gradient of conv2d w.r.t. its kernels, summed over the batch: one
-    gather of every tap's row and one einsum. It takes no scratch slot, so it
-    may run on a thread beside the other kernels (see the module docstring)."""
+    gather of every tap's row and one einsum."""
     x = as_f64(inp)
     g = as_f64(grad_out)
-    rows, offsets = _windows(_pad_spatial(x, padding, scratch=False), k, stride, g.shape[2:])
+    rows, offsets = _windows(_pad_spatial(x, padding), k, stride, g.shape[2:])
     gk = np.einsum("bohw,tbhw->ot", g, rows[offsets])
     return gk.reshape(g.shape[1], x.shape[1], k, k)

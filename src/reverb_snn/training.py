@@ -13,12 +13,12 @@ grad_u * (sign(W) . O).
 Each conv layer's kernel gradient (one einsum, which releases the GIL) runs
 on a persistent worker thread, made by the first backward pass through a
 conv layer, while the calling thread goes on with the rest, which never
-reads it; that kernel takes no scratch slot (see `numerics`). After the loop
-the results are added to the weight gradients in submission order
-(descending t, then l), so each layer sums the same terms in the same order
-as a serial pass and no bit moves. No task outlives its `backward_stbp`
-call. Dense layers' einsums stay inline: a task's round trip (about 36 us)
-costs more than they do.
+reads it; each thread pads into scratch slots of its own (see `numerics`).
+After the loop the results are added to the weight gradients in submission
+order (descending t, then l), so each layer sums the same terms in the same
+order as a serial pass and no bit moves. No task outlives its
+`backward_stbp` call. Dense layers' einsums stay inline: a task's round trip
+(about 36 us) costs more than they do.
 
 Optimization is plain SGD with classical momentum and a cosine learning-rate
 schedule decaying to zero.
@@ -48,10 +48,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lr0) and self.lr0 >= 0):
-            raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+        rules = (("epochs", self.epochs >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"),
+                 ("batch_size", self.batch_size >= 1, ">= 1"),
+                 ("lr0", np.isfinite(self.lr0) and self.lr0 >= 0, "finite and >= 0"),
+                 ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"))
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

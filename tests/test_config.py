@@ -59,6 +59,16 @@ def test_bad_value_rejected():
         parse_config_text("epochs = soon")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("epochs = -2", "epochs must be >= 0, got -2"), ("batch = 0", "batch must be >= 1, got 0"),
+    ("seed = -1", "seed must be >= 0, got -1"),
+])
+def test_training_range_names_the_config_key(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_config_text(text)
+    assert str(exc.value) == message
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ParseError):
         parse_config_text("mode = ternary")

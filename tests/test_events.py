@@ -372,7 +372,7 @@ class TestResultsOwnTheirMemory:
         assert not np.shares_memory(first, second)
         self._dense(rng), self._conv(rng)
         matmul(rng.uniform(-1, 1, (4, 40)), rng.uniform(-1, 1, (40, 300)))
-        for buf in numerics._SCRATCH.values():
+        for buf in vars(numerics._SLOTS).values():  # the calling thread's
             assert not np.shares_memory(first, buf) and not np.shares_memory(second, buf)
         assert first.tobytes() == kept.tobytes()
 

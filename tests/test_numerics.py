@@ -528,7 +528,7 @@ def test_transient_memory_is_operands_output_and_one_block(case):
     iteration buffers on the batched matmul. Only the one-sample event call,
     which keeps numpy's buffering, is allowed those buffers."""
     call, operands, out, block, fresh, buffers = case()
-    with mock.patch.dict(numerics._SCRATCH, clear=True):
+    with mock.patch.dict(vars(numerics._SLOTS), clear=True):
         first, repeat = _peak_bytes(call), _peak_bytes(call)
     assert first <= operands + 2 * out + 2 * block + 64 * 1024
     assert repeat <= fresh + buffers + 64 * 1024
@@ -567,7 +567,7 @@ ALIAS_CASES = {
 
 
 def _assert_owns_its_memory(result):
-    for buf in numerics._SCRATCH.values():
+    for buf in vars(numerics._SLOTS).values():  # the calling thread's
         assert not np.shares_memory(result, buf)
 
 
@@ -616,55 +616,103 @@ class TestResultsOwnTheirMemory:
             _assert_bitwise(got, want)
 
 
+def _training_shape_calls():
+    """The kernel calls of convnet-bars' training batch of 64: both convs
+    forward, the head's matmul and both convs' kernel gradients."""
+    rng = np.random.default_rng(13)
+    x1, x2 = rng.uniform(0, 1, (64, 1, 8, 8)), rng.uniform(0, 1, (64, 8, 8, 8))
+    g1, g2 = rng.uniform(-1, 1, (64, 8, 8, 8)), rng.uniform(-1, 1, (64, 16, 4, 4))
+    k1, k2 = rng.uniform(-1, 1, (8, 1, 3, 3)), rng.uniform(-1, 1, (16, 8, 3, 3))
+    xh, head = rng.uniform(0, 1, (64, 256)), rng.uniform(-1, 1, (256, 4))
+    forwards = [lambda: conv2d(x1, k1, 1, 1), lambda: conv2d(x2, k2, 2, 1),
+                lambda: matmul(xh, head)]
+    grads = [lambda: conv2d_kernel_grad(x1, g1, 1, 1, 3),
+             lambda: conv2d_kernel_grad(x2, g2, 2, 1, 3)]
+    return forwards, grads
+
+
+def _on_two_threads(mine, theirs, rounds=20):
+    """Runs `theirs` round-robin for `rounds` rounds on a second thread while
+    this thread runs `mine` round-robin until that thread ends, with a 10 us
+    switch interval; per thread, the (call index, result bytes) of every call."""
+    here, there = [], []
+
+    def run_theirs():
+        for i in range(rounds * len(theirs)):
+            there.append((i % len(theirs), theirs[i % len(theirs)]().tobytes()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread = threading.Thread(target=run_theirs)
+        thread.start()
+        deadline = time.monotonic() + 60
+        while (thread.is_alive() or len(here) < len(mine)) and time.monotonic() < deadline:
+            i = len(here) % len(mine)
+            here.append((i, mine[i]().tobytes()))
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    return here, there
+
+
 class TestKernelGradBesideTheOtherKernels:
     """training.backward_stbp runs conv2d_kernel_grad on a worker thread while
-    the calling thread runs the other kernels, so it must take no scratch
-    slot (see the numerics module docstring)."""
+    the calling thread runs the other kernels. Each thread takes scratch slots
+    of its own (see the numerics module docstring), so every kernel may run
+    beside the others on any thread."""
 
-    def test_kernel_grad_takes_no_scratch_slot(self):
+    def test_kernel_on_a_second_thread_takes_slots_of_its_own(self):
         rng = np.random.default_rng(12)
         x, g = rng.uniform(0, 1, (64, 8, 8, 8)), rng.uniform(-1, 1, (64, 16, 4, 4))
-        with mock.patch.dict(numerics._SCRATCH, clear=True):
+        kern = rng.uniform(-1, 1, (16, 8, 3, 3))
+        theirs = {}
+
+        def run():
             conv2d_kernel_grad(x, g, 2, 1, 3)
-            assert not numerics._SCRATCH
+            conv2d(x[:2], kern, 2, 1)  # 512 outputs: a scratch sum
+            theirs.update(vars(numerics._SLOTS))
+
+        with mock.patch.dict(vars(numerics._SLOTS), clear=True):
+            conv2d(x[:32], kern, 2, 1)
+            mine = dict(vars(numerics._SLOTS))
+            kept = {slot: buf.tobytes() for slot, buf in mine.items()}
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=60)
+            assert vars(numerics._SLOTS) == mine  # the same buffers
+        assert not thread.is_alive()
+        assert set(theirs) == {"padded", "sum", "terms"}
+        assert {slot: buf.tobytes() for slot, buf in mine.items()} == kept
+        for buf in theirs.values():
+            assert not any(np.shares_memory(buf, other) for other in mine.values())
 
     def test_kernel_grads_on_a_second_thread_match_serial_calls(self):
         """20 kernel gradients of convnet-bars' two convs at the training
         batch run on a second thread while this one runs the forward convs and
         the head's matmul; every result on both threads is byte-equal to a
         serial call's."""
-        rng = np.random.default_rng(13)
-        x1, x2 = rng.uniform(0, 1, (64, 1, 8, 8)), rng.uniform(0, 1, (64, 8, 8, 8))
-        g1, g2 = rng.uniform(-1, 1, (64, 8, 8, 8)), rng.uniform(-1, 1, (64, 16, 4, 4))
-        k1, k2 = rng.uniform(-1, 1, (8, 1, 3, 3)), rng.uniform(-1, 1, (16, 8, 3, 3))
-        xh, head = rng.uniform(0, 1, (64, 256)), rng.uniform(-1, 1, (256, 4))
-        grads = [lambda: conv2d_kernel_grad(x1, g1, 1, 1, 3),
-                 lambda: conv2d_kernel_grad(x2, g2, 2, 1, 3)]
-        forwards = [lambda: conv2d(x1, k1, 1, 1), lambda: conv2d(x2, k2, 2, 1),
-                    lambda: matmul(xh, head)]
-        serial_grads = [call().tobytes() for call in grads]
+        forwards, grads = _training_shape_calls()
         serial_forwards = [call().tobytes() for call in forwards]
-        threaded_grads, threaded_forwards = [], []
+        serial_grads = [call().tobytes() for call in grads]
+        here, there = _on_two_threads(forwards, grads, rounds=10)
+        assert len(there) == 20
+        assert all(got == serial_grads[i] for i, got in there)
+        assert all(got == serial_forwards[i] for i, got in here)
 
-        def run_grads():
-            for i in range(20):
-                threaded_grads.append(grads[i % 2]().tobytes())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            thread = threading.Thread(target=run_grads)
-            thread.start()
-            deadline = time.monotonic() + 60
-            while (thread.is_alive() or not threaded_forwards) and time.monotonic() < deadline:
-                i = len(threaded_forwards)
-                threaded_forwards.append((i % 3, forwards[i % 3]().tobytes()))
-            thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not thread.is_alive()
-        assert threaded_grads == [serial_grads[i % 2] for i in range(20)]
-        assert all(got == serial_forwards[i] for i, got in threaded_forwards)
+    def test_every_kernel_on_two_threads_matches_serial_calls(self):
+        """Both threads run the forward convs, the head's matmul and both
+        kernel gradients at the training batch, each taking scratch slots,
+        for 20 rounds on the second thread; every result is byte-equal to a
+        serial call's."""
+        forwards, grads = _training_shape_calls()
+        calls = forwards + grads
+        serial = [call().tobytes() for call in calls]
+        here, there = _on_two_threads(calls, calls[::-1], rounds=20)
+        assert len(there) == 20 * len(calls)
+        assert all(got == serial[i] for i, got in here)
+        assert all(got == serial[-1 - i] for i, got in there)
 
 
 class TestBufferRuleLeavesNoTrace:

@@ -392,6 +392,7 @@ class TestCosineLr:
 @pytest.mark.parametrize("kwargs, key", [
     ({"lr0": -0.1}, "lr0"), ({"lr0": np.inf}, "lr0"), ({"lr0": np.nan}, "lr0"),
     ({"momentum": 1.0}, "momentum"), ({"momentum": np.nan}, "momentum"),
+    ({"epochs": -2}, "epochs"), ({"batch_size": 0}, "batch_size"), ({"seed": -1}, "seed"),
 ])
 def test_train_config_rejects_out_of_range(kwargs, key):
     with pytest.raises(ValueError, match=f"^{key} must be"):

@@ -120,18 +120,25 @@ def _event(w, spikes, **conv):
     return make
 
 
+def _recipe(e, recipe: str):
+    """The recipe's config, dataset and initial network, built with the
+    recipe's seed by `e`'s public API."""
+    cfg = e.load_config(ROOT / "configs" / f"{recipe}.cfg")
+    data = e.load_dataset(cfg.dataset, seed=cfg.seed)
+    net = e.build_network(cfg.architecture, data.input_shape, data.num_classes, cfg.mode,
+                          cfg.timesteps, cfg.tau, cfg.v_th, seed=cfg.seed, affine=cfg.affine)
+    return cfg, data, net
+
+
 def _evaluation(recipe: str, evaluate: str, samples: int = EVAL_SAMPLES):
     """Setup of one `evaluate` call (`evaluate_event_driven` or
-    `evaluate_dense`) of the recipe's folded network, built with the recipe's
-    seed, on the first `samples` test samples of the recipe's dataset. The
-    call returns the accuracy, the energy report as a dict and, on the event
-    path, the accumulations."""
+    `evaluate_dense`) of the recipe's folded network (`_recipe`) on the
+    first `samples` test samples of the recipe's dataset. The call returns
+    the accuracy, the energy report as a dict and, on the event path, the
+    accumulations."""
     def make(e):
-        cfg = e.load_config(ROOT / "configs" / f"{recipe}.cfg")
-        data = e.load_dataset(cfg.dataset, seed=cfg.seed)
-        net = e.fold_alpha(e.build_network(
-            cfg.architecture, data.input_shape, data.num_classes, cfg.mode, cfg.timesteps,
-            cfg.tau, cfg.v_th, seed=cfg.seed, affine=cfg.affine))
+        _, data, net = _recipe(e, recipe)
+        net = e.fold_alpha(net)
         x, y = data.test_x[:samples], data.test_y[:samples]
 
         def call():
@@ -146,19 +153,16 @@ def _training(recipe: str, samples: int = EVAL_SAMPLES):
     training samples, from a copy of the same initial network each call. The
     call returns the epoch's loss and the trained parameters' bytes."""
     def make(e):
-        cfg = e.load_config(ROOT / "configs" / f"{recipe}.cfg")
-        data = e.load_dataset(cfg.dataset, seed=cfg.seed)
-        initial = e.build_network(
-            cfg.architecture, data.input_shape, data.num_classes, cfg.mode, cfg.timesteps,
-            cfg.tau, cfg.v_th, seed=cfg.seed, affine=cfg.affine)
+        cfg, data, initial = _recipe(e, recipe)
         tc = e.TrainConfig(epochs=1, batch_size=cfg.batch, lr0=cfg.lr0,
                            momentum=cfg.momentum, seed=cfg.seed)
         xy = data.train_x[:samples], data.train_y[:samples]
 
         def call():
             net, records = e.train(copy.deepcopy(initial), xy, tc)
-            params = b"".join(arr.tobytes() for layer in net.layers
-                              for _, arr in e.layers._params(layer))
+            params = b"".join(arr.tobytes() for layer in net.layers for arr in (
+                layer.w_latent, layer.alpha, layer.affine_gamma, layer.affine_beta)
+                if arr is not None)
             return float(records[0]["loss"]).hex(), params
         return call
     return make
