@@ -4,11 +4,11 @@ accounting around it.
 A firing layer's nonzero spikes become an EventList; a folded binarized layer
 consumes events by pure accumulation: weight +1 adds the spike value, weight
 -1 subtracts it. The kernel is the dense kernels' fixed-order reduction
-(`numerics._accumulate`) with a sign-select term in place of the multiply:
-a dense layer has one term per event, a conv layer scatters its events into
-a zero map and has one term per kernel tap, as `conv2d` does. Inference
-(`event_forward`) runs the same LIF loop as the dense forward pass, so the
-two paths agree bitwise by construction.
+(`numerics._accumulate`) whose term is the spike's bits XOR the weight's
+sign bit, with no branch and no multiply: a dense layer has one term per
+event, a conv layer scatters its events into a zero map and has one term per
+kernel tap, as `conv2d` does. Inference (`event_forward`) runs the dense
+pass's LIF loop, so the two paths agree bitwise by construction.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,

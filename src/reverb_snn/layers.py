@@ -73,8 +73,8 @@ class BinaryLayer:
                 f"alpha must have one entry per output channel "
                 f"({self.out_channels}), got {self.alpha.shape}"
             )
-        if (self.alpha <= 0).any():
-            raise ValueError("alpha entries must be strictly positive")
+        if not (np.isfinite(self.alpha).all() and (self.alpha > 0).all()):
+            raise ValueError("alpha entries must be finite and strictly positive")
 
     @property
     def out_channels(self) -> int:

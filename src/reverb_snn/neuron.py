@@ -14,6 +14,11 @@ only in the value a fired neuron emits:
             per-channel firing scale (the inference form produced by
             amplitude folding), scale * u, gated at v_th / scale.
 
+The gate has no per-element branch: `gated`, the int64 view of u (float64
+only) times (u >= gate), is u's bits where fired and +0.0 elsewhere, and u's
+bits XOR `gated` are the reset: np.where's bits for every u (NaN never
+fires). A scale multiplies `gated` in place, so it is finite (inf * 0 is NaN).
+
 Backward rules: the real-valued spike is differentiable away from the gate,
 so its gradient is the fired indicator (the boundary Dirac term is dropped),
 times the channel scale when there is one; the binary spike is
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModeError
-from .numerics import as_f64
+from .numerics import _F64, _I64, as_f64
 
 
 class FireMode(enum.Enum):
@@ -61,8 +66,8 @@ class NeuronParams:
             if self.mode is not FireMode.REAL:
                 raise ValueError(f"a firing scale needs the real rule, not {self.mode}")
             self.scale = as_f64(self.scale)
-            if (self.scale <= 0).any():
-                raise ValueError("firing scale entries must be strictly positive")
+            if not (np.isfinite(self.scale).all() and (self.scale > 0).all()):
+                raise ValueError("firing scale entries must be finite and strictly positive")
 
 
 def _per_channel(vec: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -87,31 +92,41 @@ def threshold_for(u: np.ndarray, params: NeuronParams):
 
 
 def membrane_update(u: np.ndarray, current: np.ndarray, params: NeuronParams) -> np.ndarray:
-    """Integrate one timestep: tau * u + current (reset already applied)."""
+    """Integrate one timestep: tau * u + current (reset already applied), in one array."""
+    if u.dtype != _F64:  # the sum is made in u's dtype, and the gate reads its bits
+        raise TypeError(f"the membrane must be float64, got {u.dtype}")
     current = as_f64(current)
     if current.shape != u.shape:
         raise DimensionError(
             f"current shape {current.shape} does not match membrane {u.shape}"
         )
-    return params.tau * u + current
+    out = np.multiply(u, params.tau)
+    out += current
+    return out
 
 
-def _gate_and_reset(u: np.ndarray, params: NeuronParams, mode: FireMode, emit):
-    """(spikes, reset membrane): fired entries emit `emit(u)` and drop to 0."""
+def _gate_and_reset(u: np.ndarray, params: NeuronParams, mode: FireMode):
+    """(fired, gated, reset membrane) of u (see the module docstring)."""
     if params.mode is not mode:
         raise ModeError(f"{mode.value} firing rule called in mode {params.mode}")
+    if u.dtype != _F64:  # the gate reads u's bits
+        raise TypeError(f"the membrane must be float64, got {u.dtype}")
     fired = u >= threshold_for(u, params)
-    return np.where(fired, emit(u), 0.0), np.where(fired, 0.0, u)
+    bits = u.view(_I64)
+    gated = bits * fired
+    return fired, gated.view(_F64), (bits ^ gated).view(_F64)
 
 
 def fire_binary(u: np.ndarray, params: NeuronParams):
-    return _gate_and_reset(u, params, FireMode.BINARY, lambda u: 1.0)
+    fired, _, reset = _gate_and_reset(u, params, FireMode.BINARY)
+    return fired.astype(_F64), reset
 
 
 def fire_real(u: np.ndarray, params: NeuronParams):
-    if params.scale is None:
-        return _gate_and_reset(u, params, FireMode.REAL, lambda u: u)
-    return _gate_and_reset(u, params, FireMode.REAL, lambda u: _per_channel(params.scale, u) * u)
+    _, spikes, reset = _gate_and_reset(u, params, FireMode.REAL)
+    if params.scale is not None:
+        spikes *= _per_channel(params.scale, u)
+    return spikes, reset
 
 
 _FIRE = {FireMode.BINARY: fire_binary, FireMode.REAL: fire_real}

@@ -78,6 +78,8 @@ _BLOCK = 1 << 16
 _BINCOUNT = 256
 # Rows that size numpy's ufunc buffer (see the module docstring): [128, 4096).
 _ROW_BUFFER, _ROW_BUFFER_END = 128, 4096
+_SIGN_BIT = np.int64(-1 << 63)  # a float64's sign bit, as an int64 mask
+_I64, _F64 = np.dtype(np.int64), np.dtype(np.float64)  # a view by instance costs less
 
 
 _SLOTS = threading.local()  # each thread's slot -> its buffer (see the module docstring)
@@ -121,8 +123,8 @@ def _accumulate(shape, count: int, block, signed: bool = False, counter=None) ->
     returns operands (x, w) whose leading axis holds terms lo..hi-1 and which
     broadcast to (hi - lo,) + shape. Each block of terms is built with one
     call. The term is x * w for real weights; with `signed`, w holds folded
-    {-1, +1} weights and the term is the sign select +x / -x (the block
-    negated, then +x copied where w > 0), with no multiply.
+    {-1, +1} weights (the caller checks) and the term is the sign select
+    +x / -x: w's sign bits XOR x's bits in place in the block, no branch or multiply.
 
     An output of at most `_BINCOUNT` elements takes a block in one call: the
     running sum is added into the block's first term (the first ordered add),
@@ -162,8 +164,9 @@ def _accumulate(shape, count: int, block, signed: bool = False, counter=None) ->
             x, w = block(lo, hi)
             terms = buf[: hi - lo]
             if signed:
-                np.negative(x, out=terms)
-                np.copyto(terms, x, where=w > 0)
+                t = terms.view(_I64)
+                np.bitwise_and(w.view(_I64), _SIGN_BIT, out=t)
+                np.bitwise_xor(t, x.view(_I64), out=t)
             else:
                 np.multiply(x, w, out=terms)
             if counter is not None:

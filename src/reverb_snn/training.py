@@ -48,12 +48,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        rules = (("epochs", self.epochs >= 0, ">= 0"), ("seed", self.seed >= 0, ">= 0"),
-                 ("batch_size", self.batch_size >= 1, ">= 1"),
-                 ("lr0", np.isfinite(self.lr0) and self.lr0 >= 0, "finite and >= 0"),
-                 ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"))
+        integer = lambda v: isinstance(v, (int, np.integer))  # noqa: E731
+        rules = (("epochs", integer, "an integer"), ("epochs", lambda v: v >= 0, ">= 0"),
+                 ("seed", integer, "an integer"), ("seed", lambda v: v >= 0, ">= 0"),
+                 ("batch_size", integer, "an integer"), ("batch_size", lambda v: v >= 1, ">= 1"),
+                 ("lr0", lambda v: np.isfinite(v) and v >= 0, "finite and >= 0"),
+                 ("momentum", lambda v: 0.0 <= v < 1.0, "in [0, 1)"))
         for name, ok, rule in rules:
-            if not ok:
+            if not ok(getattr(self, name)):
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 

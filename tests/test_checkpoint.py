@@ -275,13 +275,20 @@ def test_version_2_file_is_unsupported(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field,value", [("timesteps", 0), ("alpha", -1.0), ("tau", 2.0)])
+@pytest.mark.parametrize("field,value", [
+    ("timesteps", 0), ("alpha", -1.0), ("tau", 2.0), ("alpha", np.inf), ("alpha", np.nan),
+    ("scale", np.inf), ("scale", np.nan),
+])
 def test_broken_invariant_is_parse_error(tmp_path, field, value):
     net = build_network("d2 d2", (2,), 2, MODE_LEARNABLE, timesteps=1)
     if field == "timesteps":
         net.timesteps = value
     elif field == "alpha":
         net.layers[1].alpha[0] = value
+    elif field == "scale":
+        net.layers[1].alpha[:] = 2.0
+        net = fold_alpha(net)
+        net.neurons[1].scale[0] = value
     else:
         for nrn in net.neurons:
             nrn.tau = value

@@ -204,6 +204,11 @@ class TestLayerValidation:
         with pytest.raises(ValueError):
             dense_layer(np.zeros((1, 2)), alpha=[0.0])
 
+    @pytest.mark.parametrize("alpha", [[np.inf], [np.nan], [1.0, np.inf], [np.nan, 1.0]])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            dense_layer(np.zeros((len(alpha), 2)), alpha=alpha)
+
     def test_kind_weight_rank_mismatch(self):
         with pytest.raises(DimensionError):
             BinaryLayer(w_latent=np.zeros((2, 2)), alpha=np.ones(2),

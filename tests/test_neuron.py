@@ -45,6 +45,13 @@ class TestMembraneUpdate:
         with pytest.raises(DimensionError):
             membrane_update(np.zeros(3), np.zeros(2), real_params())
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, ">f8"])
+    def test_membrane_other_than_float64_rejected(self, dtype):
+        # The in-place add would round a float32 sum to float32, and the
+        # result is the membrane that `fire` gates.
+        with pytest.raises(TypeError, match="float64"):
+            membrane_update(np.zeros(2, dtype=dtype), np.ones(2), real_params())
+
 
 class TestFireBinary:
     def test_threshold_inclusive(self):
@@ -135,6 +142,12 @@ class TestFireRealScaled:
         with pytest.raises(ValueError):
             scaled_params([0.0])
 
+    @pytest.mark.parametrize("scale", [[np.inf], [np.nan], [np.inf, np.nan], [1.0, np.inf]])
+    def test_non_finite_scale_rejected(self, scale):
+        # inf * +0.0 is NaN: a silent neuron of an infinite channel would emit it.
+        with pytest.raises(ValueError, match="finite"):
+            scaled_params(scale)
+
     def test_scale_on_the_binary_rule_rejected(self):
         with pytest.raises(ValueError, match="real rule"):
             NeuronParams(mode=FireMode.BINARY, scale=np.array([2.0, 2.0]))
@@ -201,6 +214,14 @@ class TestEventDrivenInvariance:
             want, _ = ref(u.copy(), params)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, ">f8"])
+    @pytest.mark.parametrize("params", [binary_params(), real_params(), scaled_params([2.0, 2.0])])
+    def test_membrane_other_than_float64_rejected(self, dtype, params):
+        # The gate reads the membrane's bits as float64's: any other dtype
+        # would fire on garbage, so it is refused.
+        with pytest.raises(TypeError, match="float64"):
+            fire(np.array([1, -1], dtype=dtype), params)
+
 
 class TestParamsValidation:
     def test_tau_out_of_range(self):
@@ -226,24 +247,40 @@ class TestParamsValidation:
 _SHAPES = {(4,): 0, (2, 4): 1, (3, 2, 2): 0, (2, 3, 2, 2): 1}
 
 
+# Every kind of float64 a membrane can hold: ordinary values, both zeros,
+# subnormals, the extremes, both infinities and NaN of either sign.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.finfo(float).max,
+            -np.finfo(float).max, np.inf, -np.inf, np.nan, -np.nan]
+_MEMBRANE = st.floats(-2.0, 2.0) | st.sampled_from(_SPECIAL) | st.floats()
+
+
+def _array(draw, elements, shape):
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)),
+                    dtype=np.float64).reshape(shape)
+
+
 @st.composite
+@np.errstate(all="ignore")  # v_th / scale and scale * u may overflow
 def _fire_cases(draw):
     mode = draw(st.sampled_from(list(FireMode)))
     scaled = mode is FireMode.REAL and draw(st.booleans())
     shape = draw(st.sampled_from(list(_SHAPES)))
     axis = _SHAPES[shape]
-    v_th = draw(st.sampled_from([0.0, -0.0, 0.25, -0.5]))
+    v_th = draw(st.sampled_from([0.0, -0.0, 0.25, -0.5, 5e-324])
+                | st.floats(allow_nan=False, allow_infinity=False))
     chan = [1] * len(shape)
     chan[axis] = shape[axis]
     scale, theta = None, np.float64(v_th)
     if scaled:
-        scale = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=shape[axis],
-                                       max_size=shape[axis])))
+        # Finite positive scales, subnormal to huge: per-channel gates.
+        scale = _array(draw, st.floats(0.1, 4.0) | st.floats(0.0, exclude_min=True,
+                                                            allow_infinity=False),
+                       (shape[axis],))
         theta = (v_th / scale).reshape(chan)
-    n = int(np.prod(shape))
-    u = np.array(draw(st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0]),
-                               min_size=n, max_size=n))).reshape(shape)
-    at_gate = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(shape)
+    u = _array(draw, _MEMBRANE, shape)
+    at_gate = np.array(draw(st.lists(st.booleans(), min_size=u.size,
+                                     max_size=u.size))).reshape(shape)
     u = np.where(at_gate, np.broadcast_to(theta, shape), u)
     if mode is FireMode.BINARY:
         value = np.ones(shape)
@@ -255,9 +292,20 @@ def _fire_cases(draw):
 
 
 @given(_fire_cases())
+@np.errstate(all="ignore")
 def test_fire_gates_emits_and_resets_per_rule(case):
+    # The np.where references: the rules' bits with -0.0, subnormals,
+    # infinities and NaN (which never fires) in the membrane.
     u, params, theta, value = case
     spikes, reset = fire(u.copy(), params)
     fired = u >= theta
     assert spikes.tobytes() == np.where(fired, value, 0.0).tobytes()
     assert reset.tobytes() == np.where(fired, 0.0, u).tobytes()
+
+
+@given(shape=st.sampled_from(list(_SHAPES)), tau=st.floats(0.0, 1.0), data=st.data())
+@np.errstate(all="ignore")  # inf - inf, overflow: the same on both sides
+def test_membrane_update_is_tau_u_plus_current(shape, tau, data):
+    u, current = (_array(data.draw, _MEMBRANE, shape) for _ in range(2))
+    got = membrane_update(u, current, real_params(tau=tau))
+    assert got.tobytes() == (tau * u + current).tobytes()

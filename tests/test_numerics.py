@@ -365,6 +365,28 @@ class TestOneCallPath:
         _assert_bitwise(matmul(np.full((1, 300), -0.0), np.ones((300, size))),
                         np.zeros((1, size)))
 
+    @given(block=st.sampled_from(BLOCKS), count=st.integers(1, 40),
+           n=st.sampled_from(WIDTHS), row=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @np.errstate(all="ignore")  # inf - inf: the same on both sides
+    def test_signed_term_is_negate_then_copy(self, block, count, n, row, seed, data):
+        # The sign select's reference: negate the block, then copy +x where
+        # w > 0. Its terms are reduced by the same _accumulate, as x * 1.0,
+        # which keeps every bit, so only the term is compared; x holds
+        # -0.0, subnormals, infinities and NaN of either sign.
+        x = np.array(data.draw(st.lists(
+            st.floats() | st.sampled_from([-0.0, 5e-324, -np.inf, np.nan, -np.nan]),
+            min_size=count * row, max_size=count * row))).reshape(count, 1, row)
+        w = np.random.default_rng(seed).choice([-1.0, 1.0], (count, n, 1))
+        terms = np.negative(np.broadcast_to(x, (count, n, row)))
+        np.copyto(terms, x, where=w > 0)
+        with mock.patch.object(numerics, "_BLOCK", block):
+            got = numerics._accumulate((n, row), count, lambda lo, hi: (x[lo:hi], w[lo:hi]),
+                                       signed=True).copy()
+            want = numerics._accumulate((n, row), count,
+                                        lambda lo, hi: (terms[lo:hi], 1.0)).copy()
+        _assert_bitwise(got, want)
+
     def test_empty_output_stays_float64(self):
         _assert_bitwise(matmul(np.zeros((0, 3)), np.ones((3, 2))), np.zeros((0, 2)))
         _assert_bitwise(matmul(np.zeros((2, 0)), np.ones((0, 3))), np.zeros((2, 3)))

@@ -393,10 +393,17 @@ class TestCosineLr:
     ({"lr0": -0.1}, "lr0"), ({"lr0": np.inf}, "lr0"), ({"lr0": np.nan}, "lr0"),
     ({"momentum": 1.0}, "momentum"), ({"momentum": np.nan}, "momentum"),
     ({"epochs": -2}, "epochs"), ({"batch_size": 0}, "batch_size"), ({"seed": -1}, "seed"),
+    ({"epochs": 1.5}, "epochs"), ({"batch_size": 2.5}, "batch_size"), ({"seed": 1.5}, "seed"),
+    ({"epochs": "2"}, "epochs"),
 ])
 def test_train_config_rejects_out_of_range(kwargs, key):
     with pytest.raises(ValueError, match=f"^{key} must be"):
         TrainConfig(**kwargs)
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(3))
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 4, 3)
 
 
 class TestTrain:

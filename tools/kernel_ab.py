@@ -2,8 +2,9 @@
 
 Loads this tree's engine and the one under DIR/src side by side in one
 process, under distinct package names, and times `matmul`, `conv2d`,
-`addition_only_forward` and the two conv gradients (public API on both
-sides) at the shapes the shipped recipes run: a training batch of 64, an
+`addition_only_forward`, the two conv gradients and the LIF step (`fire`
+with and without a firing scale, and `membrane_update`), public API on both
+sides, at the shapes the shipped recipes run: a training batch of 64, an
 eval batch of 256 and one sample (the event path). End to end, it also times
 `evaluate_event_driven` and `evaluate_dense` of each recipe's folded network
 on 64 test samples, which takes in the per-call costs (EventList checks,
@@ -76,6 +77,10 @@ ROUND_S = 0.02        # each side's timing of one shape in one round lasts at le
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = ("rings-tiny", "convnet-bars")
 EVAL_SAMPLES = 64
+# Membrane shapes of the recipes' firing layers at batches 64 and 256, and of
+# rings-tiny's hidden layers at 256 and one sample.
+LIF_SHAPES = ((64, 8, 8, 8), (64, 16, 4, 4), (256, 8, 8, 8), (256, 16, 4, 4),
+              (256, 16), (1, 16))
 LAYOUT_SAMPLES = 256  # perfbench's dense-eval batch: the recipes' whole test split
 LAYOUT_PAD = 256 * 1024  # largest heap shift a fresh-process child allocates
 CHILD_S = 0.5         # each child times each call for at least this long
@@ -117,6 +122,15 @@ def _event(w, spikes, **conv):
             return e.addition_only_forward(layer, events, spikes.shape, counter)
         call.counter = counter
         return call
+    return make
+
+
+def _lif(call, scale=None):
+    """Setup of one LIF call, `call(e, params)`, under the real rule at the
+    recipes' tau 0.25 and v_th 0, with an optional firing scale."""
+    def make(e):
+        params = e.NeuronParams(tau=0.25, v_th=0.0, mode=e.FireMode.REAL, scale=scale)
+        return lambda: call(e, params)
     return make
 
 
@@ -169,6 +183,8 @@ def _training(recipe: str, samples: int = EVAL_SAMPLES):
 
 
 def _differ(a, b) -> bool:
+    if isinstance(a, tuple):  # fire's (spikes, reset)
+        return len(a) != len(b) or any(map(_differ, a, b))
     if isinstance(a, np.ndarray):
         return a.shape != b.shape or a.tobytes() != b.tobytes()
     return a != b
@@ -183,9 +199,12 @@ def cases(rng):
     16->16 and head 16->2. infer-wide: a 128x128 binarized layer. Spiking
     inputs fire at about the trained recipes' rate. The conv gradients run at
     convnet-bars' training batch of 64: the kernel gradient of both convs,
-    the input gradient of the second (the encoder's input needs none). Last
-    come both evaluations (`_evaluation`) and one training epoch
-    (`_training`) of each recipe.
+    the input gradient of the second (the encoder's input needs none). The
+    LIF step runs at `LIF_SHAPES`, on membranes that fire at about the
+    trained recipes' rate (0.55-0.62 per layer, measured): normal around the
+    gate, mean 0.25 and deviation 1, so 60% fire. Last come both
+    evaluations (`_evaluation`) and one training epoch (`_training`) of
+    each recipe.
     """
     out = []
     k1 = rng.uniform(-1, 1, (8, 1, 3, 3))
@@ -225,6 +244,15 @@ def cases(rng):
         ("input_grad 8->16 s2 B=64",
          lambda e: lambda: e.numerics.conv2d_input_grad(g2, k2, 2, 1, (8, 8))),
     ]
+    for shape in LIF_SHAPES:
+        u, current = rng.normal(0.25, 1.0, shape), rng.normal(0.0, 1.0, shape)
+        scale = rng.uniform(0.5, 2.0, shape[1])
+        out += [
+            (f"fire {shape}", _lif(lambda e, p, u=u: e.fire(u, p))),
+            (f"fire scaled {shape}", _lif(lambda e, p, u=u: e.fire(u, p), scale)),
+            (f"membrane_update {shape}",
+             _lif(lambda e, p, u=u, c=current: e.membrane_update(u, c, p))),
+        ]
     for recipe in RECIPES:
         out += [(f"{recipe} {evaluate} {EVAL_SAMPLES}", _evaluation(recipe, evaluate))
                 for evaluate in ("evaluate_event_driven", "evaluate_dense")]
