@@ -114,7 +114,6 @@ def load_checkpoint(path) -> Network:
     r = _Reader(data[: -_CRC.size])
     try:
         net = _decode(r, data[-_CRC.size :])
-        net.layer_output_shapes()  # the layers chain from the input into the head
     except (ValueError, DimensionError) as exc:  # a decoded value broke an invariant
         raise ParseError(f"corrupt checkpoint: {exc}", offset=r.pos) from exc
     return net

@@ -8,6 +8,7 @@ Metrics are emitted as line-delimited JSON records.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,14 +120,6 @@ def _run_eval(args, with_accuracy: bool) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    return _run_eval(args, with_accuracy=True)
-
-
-def cmd_energy(args) -> int:
-    return _run_eval(args, with_accuracy=False)
-
-
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     seed = args.seed if args.seed is not None else cfg.seed
@@ -174,15 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=_int_at_least(0), default=0)
     r.set_defaults(func=cmd_reparam)
 
-    for name, fn, hlp in (("eval", cmd_eval, "accuracy + energy report"),
-                          ("energy", cmd_energy, "energy report only")):
+    for name, with_accuracy, hlp in (("eval", True, "accuracy + energy report"),
+                                     ("energy", False, "energy report only")):
         e = sub.add_parser(name, help=hlp)
         e.add_argument("--checkpoint", required=True)
         e.add_argument("--dataset", required=True)
         e.add_argument("--seed", type=_int_at_least(0), default=0)
         e.add_argument("--timesteps", type=_int_at_least(1), default=None,
                        help="run the loaded network for this many timesteps")
-        e.set_defaults(func=fn)
+        e.set_defaults(func=functools.partial(_run_eval, with_accuracy=with_accuracy))
 
     g = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     g.add_argument("--config", default=None)

@@ -33,41 +33,41 @@ class Dataset:
         return int(max(self.train_y.max(), self.test_y.max())) + 1
 
 
-def two_gaussians(n_train: int = 512, n_test: int = 256, dim: int = 16,
-                  seed: int = 0) -> Dataset:
+def two_gaussians(n_train: int = 512, n_test: int = 256, seed: int = 0) -> Dataset:
     """Two well-separated Gaussian blobs: the linearly separable sanity set.
 
-    The first four coordinates carry the class signal; the rest are uniform
-    noise.
+    Of the 16 coordinates, the first four carry the class signal; the rest
+    are uniform noise.
     """
     rng = np.random.default_rng(seed)
     n = n_train + n_test
     y = rng.integers(0, 2, size=n)
-    x = rng.uniform(0.0, 1.0, size=(n, dim))
+    x = rng.uniform(0.0, 1.0, size=(n, 16))
     signal = np.where(y[:, None] == 0, 0.3, 0.7)
     x[:, :4] = np.clip(signal + rng.normal(0.0, 0.08, size=(n, 4)), 0.0, 1.0)
     return Dataset("two-gaussians", x[:n_train], y[:n_train], x[n_train:], y[n_train:])
 
 
-def xor_gaussians(n_train: int = 512, n_test: int = 256, dim: int = 8,
-                  seed: int = 0) -> Dataset:
-    """XOR-arranged Gaussian clusters: not linearly separable, so the hidden
-    layer has to do real work. Used by the training-mode ablation."""
+def xor_gaussians(n_train: int = 512, n_test: int = 256, seed: int = 0) -> Dataset:
+    """XOR-arranged Gaussian clusters in the first two of 8 coordinates (the
+    rest uniform noise): not linearly separable, so the hidden layer has to
+    do real work."""
     rng = np.random.default_rng(seed)
     n = n_train + n_test
     corner = rng.integers(0, 4, size=n)
     y = (corner == 1) | (corner == 2)  # opposite corners share a class
     cx = np.where((corner == 1) | (corner == 3), 0.75, 0.25)
     cy = np.where(corner >= 2, 0.75, 0.25)
-    x = rng.uniform(0.0, 1.0, size=(n, dim))
+    x = rng.uniform(0.0, 1.0, size=(n, 8))
     x[:, 0] = np.clip(cx + rng.normal(0.0, 0.11, size=n), 0.0, 1.0)
     x[:, 1] = np.clip(cy + rng.normal(0.0, 0.11, size=n), 0.0, 1.0)
     return Dataset("xor-gaussians", x[:n_train], y[:n_train].astype(np.int64),
                    x[n_train:], y[n_train:].astype(np.int64))
 
 
-def rings(n_train: int = 512, n_test: int = 256, dim: int = 8, seed: int = 0) -> Dataset:
-    """Concentric annuli: class is the radial band of the point. The boundary
+def rings(n_train: int = 512, n_test: int = 256, seed: int = 0) -> Dataset:
+    """Concentric annuli in the first two of 8 coordinates (the rest uniform
+    noise): class is the radial band of the point. The boundary
     is a circle, so hidden units must carry graded magnitudes to fit it well,
     which makes this the discriminating set for the activation-precision
     ablation."""
@@ -76,28 +76,25 @@ def rings(n_train: int = 512, n_test: int = 256, dim: int = 8, seed: int = 0) ->
     theta = rng.uniform(0, 2 * np.pi, n)
     y = rng.integers(0, 2, size=n)
     r = np.where(y == 0, rng.uniform(0.05, 0.22, n), rng.uniform(0.28, 0.45, n))
-    x = rng.uniform(0.0, 1.0, size=(n, dim))
+    x = rng.uniform(0.0, 1.0, size=(n, 8))
     x[:, 0] = 0.5 + r * np.cos(theta)
     x[:, 1] = 0.5 + r * np.sin(theta)
     return Dataset("rings", x[:n_train], y[:n_train].astype(np.int64),
                    x[n_train:], y[n_train:].astype(np.int64))
 
 
-def bar_images(n_train: int = 512, n_test: int = 256, size: int = 8,
-               seed: int = 0) -> Dataset:
-    """8x8 single-channel images of horizontal/vertical bars, four classes."""
+def bar_images(n_train: int = 512, n_test: int = 256, seed: int = 0) -> Dataset:
+    """8x8 single-channel images of horizontal/vertical bars, four classes:
+    a bar at row 2 or 6, or at column 2 or 6, on a dim noisy background."""
     rng = np.random.default_rng(seed)
     n = n_train + n_test
     y = rng.integers(0, 4, size=n)
-    x = np.clip(rng.normal(0.1, 0.1, size=(n, 1, size, size)), 0.0, 1.0)
-    rows = {0: size // 4, 1: 3 * size // 4}
-    cols = {2: size // 4, 3: 3 * size // 4}
-    for i in range(n):
-        c = int(y[i])
-        if c in rows:
-            x[i, 0, rows[c], :] = np.clip(0.9 + rng.normal(0, 0.05, size), 0.0, 1.0)
-        else:
-            x[i, 0, :, cols[c]] = np.clip(0.9 + rng.normal(0, 0.05, size), 0.0, 1.0)
+    x = np.clip(rng.normal(0.1, 0.1, size=(n, 1, 8, 8)), 0.0, 1.0)
+    # One draw for every bar, in sample order: the bytes of a per-sample loop.
+    bars = np.clip(0.9 + rng.normal(0, 0.05, (n, 8)), 0.0, 1.0)
+    at, row = np.where(y % 2 == 0, 2, 6), y < 2
+    x[row, 0, at[row], :] = bars[row]
+    x[~row, 0, :, at[~row]] = bars[~row]
     return Dataset("bar-images", x[:n_train], y[:n_train], x[n_train:], y[n_train:])
 
 

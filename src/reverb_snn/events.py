@@ -127,8 +127,8 @@ class SparsityMeter:
     count A. `sops` sums each nonzero input's fan-out (see `_meter`).
     """
 
-    nonzero: dict = field(default_factory=dict)
-    total: dict = field(default_factory=dict)
+    nonzero: dict = field(default_factory=dict, init=False)
+    total: dict = field(default_factory=dict, init=False)
     sops: int = field(default=0, init=False)
     fan_out: dict = field(default_factory=dict, init=False, repr=False)
 

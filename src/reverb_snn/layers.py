@@ -15,9 +15,11 @@ differences.
 
 This module alone decides which parameters a layer trains (`_params`:
 `training.Gradients` lays out the backward pass's gradients, the optimizer's
-velocity and the gradient check by it) and which kernel computes its synaptic current
-(`_contract`: the fixed-order matmul for dense layers, conv2d for conv
-layers; `forward` and `alpha_grad` call it).
+velocity and the gradient check by it) and, for the dense pass, which kernel
+computes its synaptic current (`_contract`: the fixed-order matmul for dense
+layers, conv2d for conv layers; `forward` and `alpha_grad` call it).
+`events.event_forward`'s `current` closure and `training.backward_stbp` choose
+kernels of their own, which perfbench wraps under the names they import.
 """
 
 from __future__ import annotations

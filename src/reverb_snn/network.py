@@ -58,12 +58,13 @@ class Network:
     inference_form: bool = False
 
     def __post_init__(self):
-        if self.timesteps < 1:
-            raise ValueError("timesteps must be positive")
+        if not isinstance(self.timesteps, (int, np.integer)) or self.timesteps < 1:
+            raise ValueError(f"timesteps must be an integer >= 1, got {self.timesteps!r}")
         if len(self.layers) != len(self.neurons):
             raise ValueError("one NeuronParams required per layer")
         if not self.layers or self.layers[-1].kind != DENSE:
             raise ValueError("the last layer must be a dense classifier head")
+        self.layer_output_shapes()  # DimensionError unless the layers chain into the head
 
     @property
     def num_classes(self) -> int:

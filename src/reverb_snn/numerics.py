@@ -220,6 +220,8 @@ def _check_conv_args(sample_shape, kernels, stride, padding) -> tuple[int, int]:
         raise DimensionError(f"kernel input channels {kernels.shape[1]} != input channels {c_in}")
     if stride < 1:
         raise DimensionError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise DimensionError(f"padding must be >= 0, got {padding}")
     k, hp, wp = kernels.shape[2], h + 2 * padding, w + 2 * padding
     if k > min(hp, wp):
         raise DimensionError(f"kernel size {k} exceeds padded input {hp}x{wp}")

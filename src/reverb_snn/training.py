@@ -236,14 +236,12 @@ def backward_stbp(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> G
                 if l == nl - 1:
                     # Non-firing head: output is the membrane itself, and with no
                     # reset the temporal factor is plain tau.
-                    g_u = g_out_t.copy()
-                    if g_u_next[l] is not None:
-                        g_u += g_u_next[l] * nrn.tau
+                    g_u, kept = g_out_t, True
                 else:
-                    fired = u_pre >= threshold_for(u_pre, nrn)
+                    kept = ~(u_pre >= threshold_for(u_pre, nrn))  # not reset at this step
                     g_u = g_spike * fire_backward(u_pre, nrn)
-                    if g_u_next[l] is not None:
-                        g_u = g_u + g_u_next[l] * (nrn.tau * (~fired))
+                if g_u_next[l] is not None:
+                    g_u = g_u + g_u_next[l] * (nrn.tau * kept)
                 g_u_next[l] = g_u
 
                 if layer.has_affine:

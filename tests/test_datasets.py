@@ -53,6 +53,34 @@ class TestBuiltins:
         ds = load_dataset("two-gaussians", seed=3)
         assert ds.name == "two-gaussians"
 
+    @pytest.mark.parametrize("sizes", [{}, {"n_train": 64, "n_test": 4}])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bar_images_bytes_match_per_sample_loop(self, seed, sizes):
+        ds, want_x, want_y = bar_images(seed=seed, **sizes), *_bar_images_loop(seed, **sizes)
+        n_train = len(ds.train_y)
+        for got, want in ((ds.train_x, want_x[:n_train]), (ds.test_x, want_x[n_train:]),
+                          (ds.train_y, want_y[:n_train]), (ds.test_y, want_y[n_train:])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _bar_images_loop(seed, n_train=512, n_test=256, size=8):
+    """Reference bar set, one sample at a time: every sample draws its bar's
+    noise in turn, after all labels and backgrounds."""
+    rng = np.random.default_rng(seed)
+    n = n_train + n_test
+    y = rng.integers(0, 4, size=n)
+    x = np.clip(rng.normal(0.1, 0.1, size=(n, 1, size, size)), 0.0, 1.0)
+    rows = {0: size // 4, 1: 3 * size // 4}
+    cols = {2: size // 4, 3: 3 * size // 4}
+    for i in range(n):
+        c = int(y[i])
+        if c in rows:
+            x[i, 0, rows[c], :] = np.clip(0.9 + rng.normal(0, 0.05, size), 0.0, 1.0)
+        else:
+            x[i, 0, :, cols[c]] = np.clip(0.9 + rng.normal(0, 0.05, size), 0.0, 1.0)
+    return x, y
+
 
 class TestCsvDirectory:
     @staticmethod

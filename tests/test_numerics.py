@@ -211,9 +211,10 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             conv2d(np.zeros((2, 5, 5)), np.zeros((1, 3, 3, 3)), 1, 0)
 
-    def test_bad_stride(self):
+    @pytest.mark.parametrize("stride, padding", [(0, 0), (1, -1)])
+    def test_bad_stride_or_padding(self, stride, padding):
         with pytest.raises(DimensionError):
-            conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 3, 3)), 0, 0)
+            conv2d(np.zeros((2, 1, 5, 5)), np.zeros((1, 1, 3, 3)), stride, padding)
 
 
 def conv2d_grads_oracle(x, kern, g, stride, padding):

@@ -36,6 +36,18 @@ def single_layer_net(w, timesteps=1, tau=0.25, v_th=0.0):
     )
 
 
+class TestNetworkChecks:
+    def test_float_timesteps_is_value_error(self):
+        with pytest.raises(ValueError, match="timesteps must be an integer"):
+            build_network("d4", (3,), 2, MODE_REVERB, 2.0)
+
+    def test_head_fan_in_mismatch_is_dimension_error_at_construction(self):
+        head = BinaryLayer(w_latent=np.ones((2, 3)), alpha=np.ones(2), binarize=False,
+                           kind=DENSE)
+        with pytest.raises(DimensionError, match="expects 3 inputs"):
+            Network([head], [NeuronParams(tau=0.25, v_th=0.0, mode=FireMode.REAL)], 1, (4,))
+
+
 class TestForwardPass:
     def test_single_layer_t1_is_linear_map(self):
         # A one-layer network is all head: the non-firing integrator output

@@ -12,7 +12,11 @@ layer checks) the kernel cases build outside their timing, and one epoch of
 each recipe's training on 64 training samples (one batch of the recipe's
 64, from the same initial network on every call). Every case is timed in
 interleaved rounds, the side that runs first alternating from round to
-round, so that a drift of the host's speed hits both sides alike.
+round, so that a drift of the host's speed hits both sides alike. A round
+lasts at least ROUND_S per side, and a training round at least
+TRAIN_ROUND_S: an epoch's time swings with how the conv kernel-gradient
+worker thread is scheduled, so a ratio over rounds of one epoch each cannot
+settle a few percent.
 
 From the repository root, with DIR a checkout of the parent commit (made with
 `git archive` or `git clone`):
@@ -74,6 +78,7 @@ from pathlib import Path
 import numpy as np
 
 ROUND_S = 0.02        # each side's timing of one shape in one round lasts at least this
+TRAIN_ROUND_S = 0.5   # ... and of a training epoch, whose speed swings from epoch to epoch
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = ("rings-tiny", "convnet-bars")
 EVAL_SAMPLES = 64
@@ -179,6 +184,7 @@ def _training(recipe: str, samples: int = EVAL_SAMPLES):
                 if arr is not None)
             return float(records[0]["loss"]).hex(), params
         return call
+    make.round_s = TRAIN_ROUND_S
     return make
 
 
@@ -370,8 +376,8 @@ def main(argv=None) -> int:
         if counters[0] is not None and counters[0].accumulations != counters[1].accumulations:
             print(f"accumulations differ: {label}")
             return 1
-        number = 1
-        while _per_call(fns["change"], number) * number < ROUND_S:
+        number, round_s = 1, getattr(make, "round_s", ROUND_S)
+        while _per_call(fns["change"], number) * number < round_s:
             number *= 2
         times = {"parent": [], "change": []}
         for r in range(args.rounds):
