@@ -8,7 +8,8 @@ consumes events by pure accumulation: weight +1 adds the spike value, weight
 sign bit, with no branch and no multiply: a dense layer has one term per
 event, a conv layer scatters its events into a zero map and has one term per
 kernel tap, as `conv2d` does. Inference (`event_forward`) runs the dense
-pass's LIF loop, so the two paths agree bitwise by construction.
+pass's LIF loop, so the two paths agree bitwise by construction. Neither
+eval keeps backward state, only the layer inputs the sparsity meter reads.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,
@@ -254,7 +255,7 @@ def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None
             return matmul(x, layer.w_latent.T)
         return conv2d(x, layer.w_latent, layer.stride, layer.padding)
 
-    outputs, cache = _unroll(net, batch, current)
+    outputs, cache = _unroll(net, batch, current, for_backward=False)
     if meter is not None:
         _record_sparsity(meter, cache.inputs)
     return [o[0] for o in outputs]
@@ -300,7 +301,7 @@ def evaluate_dense(net: Network, x, y):
     accuracy plus the same EnergyReport as `evaluate_event_driven`."""
 
     def logits(xb, meter):
-        outputs, cache = forward_pass(net, xb)
+        outputs, cache = forward_pass(net, xb, for_backward=False)
         _record_sparsity(meter, cache.inputs)
         return aggregate_output(outputs)
 

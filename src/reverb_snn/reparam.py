@@ -61,7 +61,7 @@ def fold_alpha(net: Network) -> Network:
 def verify_equivalence(net: Network, inf_net: Network, probes: np.ndarray) -> float:
     """Max aggregated-output difference between the two networks over a probe
     batch, relative to the output magnitude (floored at 1)."""
-    a = aggregate_output(forward_pass(net, probes)[0])
-    b = aggregate_output(forward_pass(inf_net, probes)[0])
+    a = aggregate_output(forward_pass(net, probes, for_backward=False)[0])
+    b = aggregate_output(forward_pass(inf_net, probes, for_backward=False)[0])
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom))

@@ -8,7 +8,8 @@ entries that did not fire at t and 0 on entries that were reset, i.e. the
 reset truncates gradient flow through time. Weight gradients accumulate over
 all timesteps; binarized layers route them through the straight-through
 window, and learnable amplitudes receive the per-channel sum of
-grad_u * (sign(W) . O).
+grad_u * (sign(W) . O). A pass that runs no backward (eval, the fold check,
+gradient_check's probes) keeps no membranes or currents (see ForwardCache).
 
 Each conv layer's kernel gradient (one einsum, which releases the GIL) runs
 on a persistent worker thread, made by the first backward pass through a
@@ -61,7 +62,9 @@ class TrainConfig:
 
 @dataclass
 class ForwardCache:
-    """Per-timestep, per-layer activations retained for the backward pass."""
+    """Per-timestep, per-layer activations of one pass: the inputs, which
+    backward and the eval's sparsity meter read, and only `for_backward` the
+    membranes and raw currents, which only backward reads (else empty)."""
 
     net_ref: Network
     surrogate: bool
@@ -97,14 +100,16 @@ def _samples_and_labels(net: Network, x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False):
+def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False, *,
+            for_backward: bool = True):
     """The LIF loop shared by the dense and event paths.
 
     For each of the network's `timesteps` (the only source of T) and each
     layer, `current_fn(l, x)` gives the synaptic current of layer l from
     its batched input x; the loop applies the optional per-channel affine,
     integrates, and fires every layer but the non-firing head. Returns the
-    per-timestep outputs and the ForwardCache.
+    per-timestep outputs and the ForwardCache; the loop drops each current
+    and membrane once used, so a pass not `for_backward` frees them at once.
     """
     membranes: list[np.ndarray | None] = [None] * len(net.layers)
     cache = ForwardCache(net, surrogate, [], [], [])
@@ -112,30 +117,34 @@ def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False
     for _ in range(net.timesteps):
         x = batch
         cache.inputs.append([])
-        cache.u_pre.append([])
-        cache.raw_current.append([])
+        if for_backward:
+            cache.u_pre.append([])
+            cache.raw_current.append([])
         for l, (layer, nrn) in enumerate(zip(net.layers, net.neurons)):
             x = _feed_shape(layer, x)
             cache.inputs[-1].append(x)
             current = current_fn(l, x)
+            if for_backward:
+                cache.raw_current[-1].append(current if layer.has_affine else None)
             if layer.has_affine:
-                cache.raw_current[-1].append(current)
                 current = _per_channel(layer.affine_gamma, current) * current \
                     + _per_channel(layer.affine_beta, current)
-            else:
-                cache.raw_current[-1].append(None)
             u = membranes[l] if membranes[l] is not None else np.zeros(current.shape)
             u = membrane_update(u, current, nrn)
-            cache.u_pre[-1].append(u)
+            del current
+            if for_backward:
+                cache.u_pre[-1].append(u)
             if l == len(net.layers) - 1:
                 x = membranes[l] = u
             else:
                 x, membranes[l] = fire(u, nrn)
+            del u
         outputs.append(x)
     return outputs, cache
 
 
-def forward_pass(net: Network, batch: np.ndarray, *, surrogate: bool = False):
+def forward_pass(net: Network, batch: np.ndarray, *, surrogate: bool = False,
+                 for_backward: bool = True):
     """Run the network for its T = net.timesteps steps under direct encoding.
 
     The static input is presented identically at every timestep. Every layer
@@ -144,12 +153,12 @@ def forward_pass(net: Network, batch: np.ndarray, *, surrogate: bool = False):
     averaged logits stay real-valued and trainable (a spike gate on the
     logits would zero their gradient whenever a class unit went silent).
     Returns the list of per-timestep outputs and the activation cache
-    consumed by backward_stbp.
+    consumed by backward_stbp when `for_backward` (see ForwardCache).
     """
     batch = as_f64(batch)
     _check_batch(net, batch)
     return _unroll(net, batch, lambda l, x: L.forward(net.layers[l], x, surrogate),
-                   surrogate)
+                   surrogate, for_backward=for_backward)
 
 
 def aggregate_output(outputs: list[np.ndarray]) -> np.ndarray:
@@ -215,6 +224,8 @@ def backward_stbp(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> G
     if cache.net_ref is not net:
         raise StateError("cache was produced by a different network")
     T = net.timesteps
+    if not cache.u_pre:
+        raise StateError("cache comes from a pass that kept no backward state")
     if len(cache.u_pre) != T:
         raise StateError(f"cache holds {len(cache.u_pre)} timesteps, the network runs {T}")
     nl = len(net.layers)
@@ -415,7 +426,7 @@ def gradient_check(net: Network, batch, labels) -> GradCheckReport:
     batch, labels = _samples_and_labels(net, batch, labels)
 
     def loss_now() -> float:
-        outputs, _ = forward_pass(net, batch, surrogate=True)
+        outputs, _ = forward_pass(net, batch, surrogate=True, for_backward=False)
         return ce_loss(aggregate_output(outputs), labels)
 
     outputs, cache = forward_pass(net, batch, surrogate=True)

@@ -1,8 +1,9 @@
 """Properties over random networks built from random small layer specs: the
 amplitude fold is exact for power-of-two amplitudes, checkpoints round-trip
 bit for bit, the event path equals the dense path bit for bit and in its SOP
-count, the backward pass matches finite differences, and its worker thread
-moves no gradient bit."""
+count, a pass that keeps no backward state equals the default pass, the
+backward pass matches finite differences, and its worker thread moves no
+gradient bit."""
 
 import math
 import tempfile
@@ -16,11 +17,11 @@ from hypothesis import strategies as st
 
 from reverb_snn import training
 from reverb_snn.checkpoint import load_checkpoint, save_checkpoint
-from reverb_snn.errors import DimensionError
+from reverb_snn.errors import DimensionError, StateError
 from reverb_snn.events import evaluate_dense, evaluate_event_driven, event_forward
 from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, build_network
 from reverb_snn.reparam import fold_alpha
-from reverb_snn.training import forward_pass, gradient_check
+from reverb_snn.training import backward_stbp, forward_pass, gradient_check
 from test_events import _sop_oracle
 from test_training import InlineExecutor, gradient_bytes
 
@@ -130,6 +131,28 @@ def test_dense_and_event_sops_equal_the_loop_oracle(case):
     _, dense = evaluate_dense(folded, probes, labels)
     _, event, _ = evaluate_event_driven(folded, probes, labels)
     assert dense.sops == event.sops == _sop_oracle(folded, probes)
+
+
+def _arrays(steps) -> list:
+    return [[(x.shape, x.tobytes()) for x in step] for step in steps]
+
+
+@settings(max_examples=40)
+@given(networks(amplitudes=st.floats(-3.0, 3.0), timesteps=st.integers(1, 3)), st.booleans())
+def test_pass_not_for_backward_keeps_only_the_inputs(case, folded):
+    """Trained or folded, a pass run not `for_backward` gives the default
+    pass's outputs and layer inputs byte for byte, keeps no membrane or raw
+    current, and backward_stbp refuses its cache."""
+    net, probes = case
+    if folded:
+        net = fold_alpha(net)
+    outputs, cache = forward_pass(net, probes)
+    lean_outputs, lean = forward_pass(net, probes, for_backward=False)
+    assert _arrays([lean_outputs]) == _arrays([outputs])
+    assert _arrays(lean.inputs) == _arrays(cache.inputs)
+    assert lean.u_pre == [] and lean.raw_current == []
+    with pytest.raises(StateError, match="kept no backward state"):
+        backward_stbp(net, lean, np.zeros_like(outputs[0]))
 
 
 # Vanilla's binary spike is a step, which finite differences cannot follow.

@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from reverb_snn import layers, training
+from reverb_snn import events, layers, reparam, training
 from reverb_snn.datasets import bar_images, two_gaussians
 from reverb_snn.errors import DimensionError, ModeError, StateError, TrainingError
 from reverb_snn.layers import ALPHA_FLOOR, DENSE, BinaryLayer, binarize_weights
@@ -78,6 +78,33 @@ class TestForwardPass:
         net = build_network("d128 d128", (6,), 3, MODE_REVERB, timesteps=1, seed=0)
         with pytest.raises(DimensionError):
             forward_pass(net, np.zeros((2, 7)))
+
+    def test_only_passes_that_run_backward_keep_its_state(self, monkeypatch):
+        """Eval, the event path, the fold check and gradient_check's probes
+        keep no membranes; gradient_check's one analytic pass does."""
+        kept = []  # per pass: whether it kept the membranes
+
+        def spy(run):
+            def call(*args, **kwargs):
+                outputs, cache = run(*args, **kwargs)
+                kept.append(bool(cache.u_pre))
+                return outputs, cache
+            return call
+
+        spied = spy(training.forward_pass)
+        for module in (training, events, reparam):
+            monkeypatch.setattr(module, "forward_pass", spied)
+        monkeypatch.setattr(events, "_unroll", spy(training._unroll))
+        net = build_network("d4 d4", (3,), 2, MODE_LEARNABLE, timesteps=2, seed=0)
+        x, y = np.random.default_rng(0).uniform(0, 1, (4, 3)), np.array([0, 1, 0, 1])
+        folded = fold_alpha(net)
+        events.evaluate_dense(net, x, y)
+        events.evaluate_event_driven(folded, x, y)
+        reparam.verify_equivalence(net, folded, x)
+        assert kept == [False] * (1 + 4 + 2)  # one eval batch, 4 event samples, 2 fold checks
+        kept.clear()
+        gradient_check(net, x, y)
+        assert kept[0] and not any(kept[1:]) and len(kept) > 1
 
 
 class TestAggregateOutput:

@@ -49,12 +49,18 @@ Each child allocates a random pad of 0-256 KiB before it imports its engine,
 which shifts the heap, then times `evaluate_dense` of the recipe's folded
 network on 256 test samples (the call shape of perfbench's dense eval) and
 one training epoch of the recipe (as the in-process case runs it), and
-counts the minor page faults of those calls. Training's worker thread gets
-a malloc arena of its own, so its heap layout is a second one. The script
-prints per recipe and call each side's median time and faults per call over
-the layouts, and the median and quartiles of the per-round ratio (parent
-over change). The children's accuracies, `EnergyReport.as_dict()`, epoch
-losses and trained parameters must be equal, else it exits 1:
+counts the minor page faults of those calls. It also records how far the
+process's peak RSS (`ru_maxrss`) grew over each call, from before its first
+run, the one whose result is checked, to after its timed runs: the first run
+sets the peak, and the timed runs alone grow it by 0-0.2 MiB. Dense eval
+runs first, so its growth is the eval's transient memory, and training's is
+what training needs beyond it. Training's worker thread gets a malloc arena
+of its own, so its heap layout is a second one. The script prints per
+recipe and call each side's median time, faults per call and peak-RSS
+growth over the layouts, and the median and quartiles of the per-round
+ratio (parent over change). The children's accuracies,
+`EnergyReport.as_dict()`, epoch losses and trained parameters must be
+equal, else it exits 1:
 
     python3 tools/kernel_ab.py --against DIR --layouts 20
 """
@@ -285,13 +291,15 @@ def _child(src: Path, recipe: str, pad: int) -> int:
     """One fresh-process layout: shift the heap by `pad` bytes, import the
     engine under `src`, then time each of the recipe's `_layout_calls` for
     at least CHILD_S seconds. Prints one JSON line: per call, the median ms
-    per call, the minor faults per call and the sha256 of the call's
-    result."""
+    per call, the minor faults per call, how far `ru_maxrss` grew from
+    before the call's first (checked) run to after its timed runs, in MiB,
+    and the sha256 of the call's result."""
     shift = bytes(pad)  # noqa: F841 -- held for the process's life
     engine = load_engine(src, "reverb_snn")
     runs = {}
     for label, make in _layout_calls(recipe).items():
         call = make(engine)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         result = call()
         times, faults, t_end = [], 0, time.perf_counter() + CHILD_S
         while len(times) < 5 or time.perf_counter() < t_end:
@@ -300,7 +308,9 @@ def _child(src: Path, recipe: str, pad: int) -> int:
             call()
             times.append(time.perf_counter() - t0)
             faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss  # KiB on Linux
         runs[label] = {"ms": statistics.median(times) * 1e3, "faults": faults / len(times),
+                       "rss_mib": rss / 1024,
                        "result": hashlib.sha256(repr(result).encode()).hexdigest()}
     print(json.dumps(runs))
     return 0
@@ -327,7 +337,8 @@ def _layouts(srcs: dict, n: int) -> int:
                 [p / c for p, c in zip(ms["parent"], ms["change"])], n=4)
             line = "  ".join(
                 f"{side} {statistics.median(ms[side]):7.3f} ms "
-                f"{statistics.median(run[label]['faults'] for run in runs[side]):8.1f} faults"
+                f"{statistics.median(run[label]['faults'] for run in runs[side]):8.1f} faults "
+                f"+{statistics.median(run[label]['rss_mib'] for run in runs[side]):5.2f} MiB"
                 for side in runs)
             print(f"{recipe} {label}, {n} layouts: {line}  "
                   f"x{ratio:.3f} [{q1:.3f}, {q3:.3f}]", flush=True)
