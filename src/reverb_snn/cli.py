@@ -107,7 +107,7 @@ def _run_eval(args, with_accuracy: bool) -> int:
         net.timesteps = args.timesteps
     if net.inference_form:
         acc, report, counter = evaluate_event_driven(net, data.test_x, data.test_y)
-        if any(layer.binarize for layer in net.layers[1:-1]):  # the kernel ran
+        if any(net.layers[l].binarize for l in net.middle_layers):  # the kernel ran
             print(f"kernel audit: weight-activation multiplications = "
                   f"{counter.weight_activation_mults}, accumulations = {counter.accumulations}")
     else:

@@ -13,16 +13,17 @@ eval keeps backward state, only the layer inputs the sparsity meter reads.
 
 Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,
-dense or conv. A middle layer takes spikes, binarized or not, so each nonzero
-input costs one SOP per output it reaches (its fan-out, see `_meter`). The
-reduction itself keeps the kernel's OpCounter (`numerics._accumulate`): one
-accumulation per nonzero operand per term it reaches, which is that SOP
-count exactly, and one weight-activation multiply per term of the multiply
-path, which the kernel never takes. The real-weight encoder and classifier
-cost one FLOP per MAC, charged once per timestep. Energy uses 12.5 pJ per
-FLOP and 77 fJ per SOP. Dense and event evaluation share one loop
-(`_evaluate`) and its SOP count, and differ only in how a batch's logits are
-computed.
+dense or conv. A middle layer (`Network.middle_layers`) takes spikes,
+binarized or not, so each nonzero input costs one SOP per output it reaches
+(its fan-out, see `_meter`). The reduction itself keeps the kernel's
+OpCounter (`numerics._accumulate`): one accumulation per nonzero operand per
+term it reaches, which is that SOP count exactly, and one weight-activation
+multiply per term of the multiply path, which the kernel never takes. The
+layers outside `Network.middle_layers`, the real-weight encoder and
+classifier, cost one FLOP per MAC, charged once per timestep. Energy uses
+12.5 pJ per FLOP and 77 fJ per SOP. Dense and event evaluation share one
+loop (`_evaluate`) and its SOP count, and differ only in how a batch's
+logits are computed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import DimensionError, ModeError, StateError
 from .layers import CONV, DENSE, BinaryLayer
 from .network import Network
 from .numerics import _accumulate, _conv_terms, _tap_rows_index, as_f64, conv2d, matmul
-from .training import _check_batch, _samples_and_labels, _unroll, aggregate_output, forward_pass
+from .training import ForwardCache, _samples_and_labels, _unroll, aggregate_output, forward_pass
 
 FLOP_JOULES = 12.5e-12
 SOP_JOULES = 77e-15
@@ -167,14 +168,14 @@ def _layer_macs(net: Network) -> list[int]:
 def layer_additions(net: Network) -> dict[int, int]:
     """Equivalent dense-network addition count A per middle (SOP) layer."""
     macs = _layer_macs(net)
-    return {l: macs[l] for l in range(1, len(macs) - 1)}
+    return {l: macs[l] for l in net.middle_layers}
 
 
 def count_flops(net: Network) -> int:
-    """Multiply-accumulates of the real-weight encoder and classifier, charged
-    once per timestep presentation."""
-    macs = _layer_macs(net)
-    return (macs[0] + macs[-1]) * net.timesteps
+    """Multiply-accumulates of the layers outside `Network.middle_layers` (the
+    real-weight encoder and classifier), charged once per timestep."""
+    macs, middle = _layer_macs(net), net.middle_layers
+    return sum(m for l, m in enumerate(macs) if l not in middle) * net.timesteps
 
 
 @dataclass
@@ -195,7 +196,7 @@ def estimate_energy(flops: float, sops: float, sparsity: float = 0.0,
                     sparsity_per_layer: dict | None = None,
                     timesteps: int = 0) -> EnergyReport:
     """Energy in joules: flops * 12.5 pJ + sops * 77 fJ."""
-    if flops < 0 or sops < 0:
+    if not (flops >= 0 and sops >= 0):  # NaN fails too
         raise ValueError("operation counts must be non-negative")
     return EnergyReport(
         flops=flops,
@@ -213,7 +214,8 @@ def _meter(net: Network) -> SparsityMeter:
     input position (`numerics._tap_rows_index`; none on zero padding)."""
     meter = SparsityMeter()
     shapes = [tuple(net.input_shape)] + net.layer_output_shapes()
-    for l, layer in enumerate(net.layers[1:-1], 1):
+    for l in net.middle_layers:
+        layer = net.layers[l]
         meter.fan_out[l] = layer.out_channels
         if layer.kind == CONV:
             (h, w), p = shapes[l][1:], layer.padding
@@ -224,10 +226,10 @@ def _meter(net: Network) -> SparsityMeter:
     return meter
 
 
-def _record_sparsity(meter: SparsityMeter, inputs: list) -> None:
-    """Record the middle layers' inputs of a ForwardCache.inputs list."""
-    for step in inputs:
-        for l in range(1, len(step) - 1):
+def _record_sparsity(meter: SparsityMeter, cache: ForwardCache) -> None:
+    """Record the middle layers' inputs of a ForwardCache."""
+    for step in cache.inputs:
+        for l in cache.net_ref.middle_layers:
             meter.record(l, step[l])
 
 
@@ -242,22 +244,20 @@ def event_forward(net: Network, sample: np.ndarray, *, counter: OpCounter | None
     inputs are still recorded, sparsity and SOPs, since binary spikes make
     them addition-only as well.
     """
-    batch = as_f64(sample)[None]
-    _check_batch(net, batch)
-    last = len(net.layers) - 1
+    middle = net.middle_layers
 
     def current(l, x):
         layer = net.layers[l]
-        if 0 < l < last and layer.binarize:
+        if l in middle and layer.binarize:
             events = events_from_spikes(x[0])
             return addition_only_forward(layer, events, x.shape[1:], counter)[None]
         if layer.kind == DENSE:
             return matmul(x, layer.w_latent.T)
         return conv2d(x, layer.w_latent, layer.stride, layer.padding)
 
-    outputs, cache = _unroll(net, batch, current, for_backward=False)
+    outputs, cache = _unroll(net, np.asarray(sample)[None], current, for_backward=False)
     if meter is not None:
-        _record_sparsity(meter, cache.inputs)
+        _record_sparsity(meter, cache)
     return [o[0] for o in outputs]
 
 
@@ -302,7 +302,7 @@ def evaluate_dense(net: Network, x, y):
 
     def logits(xb, meter):
         outputs, cache = forward_pass(net, xb, for_backward=False)
-        _record_sparsity(meter, cache.inputs)
+        _record_sparsity(meter, cache)
         return aggregate_output(outputs)
 
     return _evaluate(net, x, y, 256, logits)

@@ -18,7 +18,8 @@ exist; the layers' flags and the neurons' firing rules carry them:
 
 Convs come before dense layers. The first token is the (rate-encoding)
 encoder and the dense classifier head, `d<num_classes>`, is implied; both
-always keep real weights, and only the middle tokens are ever binarized. A
+always keep real weights, and only the middle tokens are ever binarized:
+`Network.middle_layers` names these layers for every site that asks. A
 layer too large to allocate is a DimensionError naming its token.
 `ARCHITECTURES` names three specs: mlp-tiny, mlp-small and convnet-small.
 """
@@ -69,6 +70,11 @@ class Network:
     @property
     def num_classes(self) -> int:
         return self.layers[-1].out_channels
+
+    @property
+    def middle_layers(self) -> range:
+        """The layers that take spikes, the only ones built binarized, charged as SOPs."""
+        return range(1, len(self.layers) - 1)
 
     def layer_output_shapes(self) -> list[tuple[int, ...]]:
         """Per-sample output shape of each layer, propagated from input_shape."""

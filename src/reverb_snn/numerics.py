@@ -307,7 +307,7 @@ def conv2d(inp, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
     if squeeze:
         x = x[None]
     if x.ndim != 4:
-        raise DimensionError(f"conv2d input must be 3-D or 4-D, got {inp.shape}")
+        raise DimensionError(f"conv2d input must be 3-D or 4-D, got {x.shape}")
     shape, count, block = _conv_terms(x, kernels, stride, padding)
     out = _accumulate(shape, count, block).transpose(1, 0, 2, 3)
     return (out[0] if squeeze else out).copy()

@@ -73,12 +73,6 @@ class ForwardCache:
     raw_current: list     # [t][l] pre-affine synaptic current (None without affine)
 
 
-def _feed_shape(layer: L.BinaryLayer, x: np.ndarray) -> np.ndarray:
-    if layer.kind == L.DENSE and x.ndim > 2:
-        return x.reshape(x.shape[0], -1)
-    return x
-
-
 def _check_batch(net: Network, batch: np.ndarray) -> None:
     """The network-input rule: a leading sample axis over net.input_shape samples."""
     if tuple(batch.shape[1:]) != tuple(net.input_shape):
@@ -86,14 +80,16 @@ def _check_batch(net: Network, batch: np.ndarray) -> None:
 
 
 def _samples_and_labels(net: Network, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Features as float64 and 1-D integer labels: one label per sample, a batch
-    for `net` (checked first, the clearer fault), labels in [0, net.num_classes)."""
+    """Finite features as float64 and 1-D integer labels: one label per sample, a
+    batch for `net` (checked first, the clearer fault), labels in [0, net.num_classes)."""
     x, y = as_f64(x), np.asarray(y)
     if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
         raise DimensionError(f"labels must be a 1-D integer array, got {y.dtype} {y.shape}")
     if len(x) != len(y):
         raise DimensionError(f"{len(x)} samples but {len(y)} labels")
     _check_batch(net, x)
+    if not np.isfinite(x).all():
+        raise DimensionError("features must be finite, not NaN or inf")
     outside = sorted(set(y[(y < 0) | (y >= net.num_classes)].tolist()))
     if outside:
         raise DimensionError(f"labels {outside} outside [0, {net.num_classes})")
@@ -102,7 +98,8 @@ def _samples_and_labels(net: Network, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False, *,
             for_backward: bool = True):
-    """The LIF loop shared by the dense and event paths.
+    """The LIF loop shared by the dense and event paths, and the one place
+    that reads their input, as float64, and checks it (`_check_batch`).
 
     For each of the network's `timesteps` (the only source of T) and each
     layer, `current_fn(l, x)` gives the synaptic current of layer l from
@@ -111,6 +108,8 @@ def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False
     per-timestep outputs and the ForwardCache; the loop drops each current
     and membrane once used, so a pass not `for_backward` frees them at once.
     """
+    batch = as_f64(batch)
+    _check_batch(net, batch)
     membranes: list[np.ndarray | None] = [None] * len(net.layers)
     cache = ForwardCache(net, surrogate, [], [], [])
     outputs = []
@@ -121,7 +120,8 @@ def _unroll(net: Network, batch: np.ndarray, current_fn, surrogate: bool = False
             cache.u_pre.append([])
             cache.raw_current.append([])
         for l, (layer, nrn) in enumerate(zip(net.layers, net.neurons)):
-            x = _feed_shape(layer, x)
+            if layer.kind == L.DENSE and x.ndim > 2:
+                x = x.reshape(x.shape[0], -1)
             cache.inputs[-1].append(x)
             current = current_fn(l, x)
             if for_backward:
@@ -155,8 +155,6 @@ def forward_pass(net: Network, batch: np.ndarray, *, surrogate: bool = False,
     Returns the list of per-timestep outputs and the activation cache
     consumed by backward_stbp when `for_backward` (see ForwardCache).
     """
-    batch = as_f64(batch)
-    _check_batch(net, batch)
     return _unroll(net, batch, lambda l, x: L.forward(net.layers[l], x, surrogate),
                    surrogate, for_backward=for_backward)
 
@@ -270,7 +268,7 @@ def backward_stbp(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> G
                     pending.append((l, _worker().submit(
                         conv2d_kernel_grad, x_in, g_c, layer.stride, layer.padding,
                         layer.w_latent.shape[2])))
-                if layer.binarize and layer.learn_alpha:
+                if grads.alpha[l] is not None:
                     grads.alpha[l] += L.alpha_grad(layer, g_c, x_in, surrogate)
 
                 if l > 0:

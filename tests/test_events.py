@@ -17,7 +17,8 @@ from reverb_snn.events import (EventList, OpCounter, SparsityMeter,
                                event_forward, events_from_spikes,
                                layer_additions)
 from reverb_snn.layers import CONV, DENSE, BinaryLayer, binarize_weights
-from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, build_network
+from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, Network, build_network
+from reverb_snn.neuron import NeuronParams
 from reverb_snn.numerics import conv2d, matmul
 from reverb_snn.reparam import fold_alpha
 from reverb_snn.training import forward_pass
@@ -429,6 +430,18 @@ class TestOperationCounts:
         assert count_flops(build_network("d16 d16", (10,), 3, MODE_REVERB, timesteps=5,
                                          seed=0)) == per_step * 5
 
+    def test_one_layer_network_charges_its_head_once(self):
+        """A network that is only a 3->2 dense head has no middle layer: its 6
+        MACs are FLOPs, charged once per timestep, and no layer takes SOPs."""
+        head = BinaryLayer(w_latent=np.ones((2, 3)), alpha=np.ones(2), binarize=False,
+                           kind=DENSE)
+        net = Network([head], [NeuronParams()], 2, (3,), inference_form=True)
+        assert count_flops(net) == 12
+        assert layer_additions(net) == {}
+        x, y = np.full((4, 3), 0.5), np.array([0, 1, 0, 1])
+        assert evaluate_dense(net, x, y)[1].flops == 12
+        assert evaluate_event_driven(net, x, y)[1].flops == 12
+
 
 def _tiny_net(mode, conv, stride, padding, seed):
     """A folded tiny MLP, or a tiny convnet whose middle conv has the given
@@ -500,9 +513,10 @@ class TestEstimateEnergy:
             r = estimate_energy(f, s)
             assert r.energy_joules == f * 12.5e-12 + s * 77e-15
 
-    def test_negative_counts_rejected(self):
+    @pytest.mark.parametrize("flops, sops", [(-1, 0), (0, -1), (np.nan, 0), (0, np.nan)])
+    def test_negative_counts_rejected(self, flops, sops):
         with pytest.raises(ValueError):
-            estimate_energy(-1, 0)
+            estimate_energy(flops, sops)
 
 
 class TestEventForward:

@@ -1,5 +1,6 @@
-"""The network-input rule and the label rule (one label per sample, each a
-class of the network), at every entry point that takes samples."""
+"""The network-input rule, the label rule (one label per sample, each a class
+of the network) and the finite-feature rule, at every entry point that takes
+samples."""
 
 import numpy as np
 import pytest
@@ -77,4 +78,17 @@ def test_labels_that_are_not_a_1d_integer_array_are_dimension_error(entry, bad):
     x, y = rng.uniform(0, 1, (4, 8)), np.array([0, 1, 0, 1])
     y = y[:, None] if bad == "2-D" else y + 0.5
     with pytest.raises(DimensionError, match="labels must be a 1-D integer array"):
+        LABELLED_ENTRY_POINTS[entry](net, x, y)
+
+
+@pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_is_dimension_error(entry, bad):
+    # A finite loss does not show a NaN feature: training on one reaches ln 2
+    # with NaN encoder weights.
+    net = build_network("mlp-tiny", (8,), 2, MODE_LEARNABLE, 2, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, (4, 8)), np.array([0, 1, 0, 1])
+    x[2, 3] = bad
+    with pytest.raises(DimensionError, match="features must be finite"):
         LABELLED_ENTRY_POINTS[entry](net, x, y)

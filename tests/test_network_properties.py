@@ -2,8 +2,9 @@
 amplitude fold is exact for power-of-two amplitudes, checkpoints round-trip
 bit for bit, the event path equals the dense path bit for bit and in its SOP
 count, a pass that keeps no backward state equals the default pass, the
-backward pass matches finite differences, and its worker thread moves no
-gradient bit."""
+backward pass matches finite differences, its worker thread moves no
+gradient bit, and the builder binarizes exactly the middle layers, whose work
+is the SOP share of the network's."""
 
 import math
 import tempfile
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from reverb_snn import training
 from reverb_snn.checkpoint import load_checkpoint, save_checkpoint
 from reverb_snn.errors import DimensionError, StateError
-from reverb_snn.events import evaluate_dense, evaluate_event_driven, event_forward
+from reverb_snn.events import (count_flops, evaluate_dense, evaluate_event_driven,
+                               event_forward, layer_additions)
+from reverb_snn.layers import DENSE
 from reverb_snn.network import MODE_LEARNABLE, MODE_REVERB, MODES, build_network
 from reverb_snn.reparam import fold_alpha
 from reverb_snn.training import backward_stbp, forward_pass, gradient_check
@@ -131,6 +134,23 @@ def test_dense_and_event_sops_equal_the_loop_oracle(case):
     _, dense = evaluate_dense(folded, probes, labels)
     _, event, _ = evaluate_event_driven(folded, probes, labels)
     assert dense.sops == event.sops == _sop_oracle(folded, probes)
+
+
+@given(networks(mode=st.sampled_from([MODE_REVERB, MODE_LEARNABLE])))
+def test_middle_layers_are_the_binarized_and_the_sop_layers(case):
+    """`build_network` binarizes exactly `Network.middle_layers`, and the FLOPs
+    and the SOP layers' additions together are every layer's MACs (output size
+    times fan-in, from the layer shapes) once per timestep."""
+    net, _ = case
+    assert [l for l, layer in enumerate(net.layers) if layer.binarize] == \
+        list(net.middle_layers)
+    shapes = net.layer_output_shapes()
+    macs = 0
+    for layer, fed, out in zip(net.layers, [net.input_shape] + shapes, shapes):
+        fan_in = math.prod(fed) if layer.kind == DENSE else fed[0] * 3 * 3
+        macs += math.prod(out) * fan_in
+    assert count_flops(net) + net.timesteps * sum(layer_additions(net).values()) == \
+        net.timesteps * macs
 
 
 def _arrays(steps) -> list:

@@ -216,6 +216,12 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             conv2d(np.zeros((2, 1, 5, 5)), np.zeros((1, 1, 3, 3)), stride, padding)
 
+    @pytest.mark.parametrize("inp", [[[1.0]], np.ones((1, 1)), np.ones((1, 1, 1, 1, 1))],
+                             ids=["2-D list", "2-D array", "5-D array"])
+    def test_input_of_wrong_rank(self, inp):
+        with pytest.raises(DimensionError, match="must be 3-D or 4-D"):
+            conv2d(inp, np.ones((1, 1, 1, 1)))
+
 
 def conv2d_grads_oracle(x, kern, g, stride, padding):
     """Input and kernel gradients of conv2d from its definition: every output
