@@ -70,8 +70,8 @@ def save_checkpoint(net: Network, path) -> None:
         w = layer.w_latent
         buf += struct.pack(f"<{w.ndim}I", *w.shape)
         if net.inference_form and layer.binarize:
-            if not (np.abs(w) == 1.0).all():
-                raise StateError("inference-form binarized weights must be exactly +/-1")
+            if not layer.folded:
+                raise StateError("inference-form binarized layer not folded (alpha 1, w +/-1)")
             bits = (w.reshape(-1) > 0).astype(np.uint8)
             buf += np.packbits(bits, bitorder="little").tobytes()
         else:
@@ -152,6 +152,8 @@ def _decode(r: _Reader, crc: bytes) -> Network:
             w_latent=w, alpha=alpha, binarize=bool(binarize), kind=_KINDS[kind_id],
             stride=stride, padding=padding, learn_alpha=bool(learn_alpha),
         )
+        if form and binarize and not layer.folded:
+            raise ParseError("inference-form binarized layer is not folded", offset=r.pos)
         if has_affine:
             layer.affine_gamma = r.f64(out_channels)
             layer.affine_beta = r.f64(out_channels)

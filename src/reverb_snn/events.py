@@ -15,7 +15,7 @@ Operation counts follow the synaptic-operation model. A layer's
 multiply-accumulates (MACs) per sample are its output size times its fan-in,
 dense or conv. A middle layer (`Network.middle_layers`) takes spikes,
 binarized or not, so each nonzero input costs one SOP per output it reaches
-(its fan-out, see `_meter`). The reduction itself keeps the kernel's
+(its fan-out, see `SparsityMeter`). The reduction itself keeps the kernel's
 OpCounter (`numerics._accumulate`): one accumulation per nonzero operand per
 term it reaches, which is that SOP count exactly, and one weight-activation
 multiply per term of the multiply path, which the kernel never takes. The
@@ -29,7 +29,7 @@ logits are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,13 +93,9 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
     amplitude, weights exactly in {-1, +1}. Result equals the dense reference
     kernel bitwise (single sample, no batch axis).
     """
-    if not layer.binarize:
-        raise ModeError("addition-only path requires a binarized layer")
-    if not (layer.alpha == 1.0).all():
-        raise ModeError("layer amplitude not folded (alpha != 1)")
+    if not layer.folded:
+        raise ModeError("addition-only path requires a folded layer; fold the network first")
     w = layer.w_latent
-    if not (np.abs(w) == 1.0).all():
-        raise ModeError("layer weights are not pure {-1,+1}; fold the network first")
 
     if layer.kind == CONV and (input_shape is None or len(input_shape) != 3):
         raise DimensionError("conv event kernel needs the (C, H, W) input shape")
@@ -120,23 +116,38 @@ def addition_only_forward(layer: BinaryLayer, events: EventList,
     return _accumulate(*terms, signed=True, counter=counter)[:, 0].copy()
 
 
-@dataclass
 class SparsityMeter:
-    """Accumulates nonzero-spike counts per middle layer over a dataset pass.
+    """Nonzero-spike counts of `net`'s middle layers over a dataset pass.
 
     Sparsity of layer l is (nonzero input spikes) / (input neuron-timestep
-    opportunities); the network mean weights each layer by its addition
-    count A. `sops` sums each nonzero input's fan-out (see `_meter`).
+    opportunities); `mean` weights each layer by its addition count A.
+    `sops` sums each nonzero input's fan-out: a dense layer's output width,
+    or a conv layer's C_out times the taps that meet each (H, W) input
+    position (`numerics._tap_rows_index`; none on zero padding).
     """
 
-    nonzero: dict = field(default_factory=dict, init=False)
-    total: dict = field(default_factory=dict, init=False)
-    sops: int = field(default=0, init=False)
-    fan_out: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, net: Network):
+        self.fan_out = {}
+        shapes = [tuple(net.input_shape)] + net.layer_output_shapes()
+        for l in net.middle_layers:
+            layer = net.layers[l]
+            self.fan_out[l] = layer.out_channels
+            if layer.kind == CONV:
+                (h, w), p = shapes[l][1:], layer.padding
+                k, hp, wp = layer.w_latent.shape[2], h + 2 * p, w + 2 * p
+                index = _tap_rows_index((1, 1, hp, wp), k, layer.stride, shapes[l + 1][1:])
+                taps = np.bincount(index, minlength=hp * wp).reshape(hp, wp)
+                self.fan_out[l] *= taps[p : p + h, p : p + w].ravel()
+        self.additions = layer_additions(net)
+        self.nonzero = dict.fromkeys(self.additions, 0)
+        self.total = dict.fromkeys(self.additions, 0)
+        self.sops = 0
 
     def record(self, layer_id: int, spikes_in: np.ndarray) -> None:
+        if layer_id not in self.fan_out:
+            raise DimensionError(f"layer {layer_id} is not a metered middle layer")
         x = np.asarray(spikes_in)
-        fan_out = self.fan_out.get(layer_id, 0)
+        fan_out = self.fan_out[layer_id]
         if isinstance(fan_out, np.ndarray):  # per (H, W) position, over batch and channels
             counts = (x != 0).reshape(-1, fan_out.size).sum(axis=0)
             nonzero = int(counts.sum())
@@ -144,19 +155,19 @@ class SparsityMeter:
         else:
             nonzero = int(np.count_nonzero(x))
             self.sops += nonzero * fan_out
-        self.nonzero[layer_id] = self.nonzero.get(layer_id, 0) + nonzero
-        self.total[layer_id] = self.total.get(layer_id, 0) + x.size
+        self.nonzero[layer_id] += nonzero
+        self.total[layer_id] += x.size
 
     def per_layer(self) -> dict[int, float]:
-        if not self.total:
+        if not all(self.total.values()):
             raise StateError("no forward pass recorded")
         return {l: self.nonzero[l] / self.total[l] for l in sorted(self.total)}
 
-    def mean(self, additions: dict[int, int]) -> float:
+    def mean(self) -> float:
+        """Additions-weighted mean sparsity, or 0.0 with no middle layer."""
         per = self.per_layer()
-        num = sum(per[l] * additions[l] for l in per)
-        den = sum(additions[l] for l in per)
-        return num / den
+        num = sum(per[l] * self.additions[l] for l in per)
+        return num / sum(self.additions.values()) if per else 0.0
 
 
 def _layer_macs(net: Network) -> list[int]:
@@ -208,24 +219,6 @@ def estimate_energy(flops: float, sops: float, sparsity: float = 0.0,
     )
 
 
-def _meter(net: Network) -> SparsityMeter:
-    """A SparsityMeter that knows each middle layer's fan-out: a dense layer's
-    output width, or a conv layer's C_out times the taps that meet each (H, W)
-    input position (`numerics._tap_rows_index`; none on zero padding)."""
-    meter = SparsityMeter()
-    shapes = [tuple(net.input_shape)] + net.layer_output_shapes()
-    for l in net.middle_layers:
-        layer = net.layers[l]
-        meter.fan_out[l] = layer.out_channels
-        if layer.kind == CONV:
-            (h, w), p = shapes[l][1:], layer.padding
-            k, hp, wp = layer.w_latent.shape[2], h + 2 * p, w + 2 * p
-            index = _tap_rows_index((1, 1, hp, wp), k, layer.stride, shapes[l + 1][1:])
-            taps = np.bincount(index, minlength=hp * wp).reshape(hp, wp)
-            meter.fan_out[l] *= taps[p : p + h, p : p + w].ravel()
-    return meter
-
-
 def _record_sparsity(meter: SparsityMeter, cache: ForwardCache) -> None:
     """Record the middle layers' inputs of a ForwardCache."""
     for step in cache.inputs:
@@ -268,16 +261,13 @@ def _evaluate(net: Network, x, y, batch_size: int, logits):
     x, y = _samples_and_labels(net, x, y)
     if not len(x):
         raise StateError("no samples to evaluate")
-    meter = _meter(net)
+    meter = SparsityMeter(net)
     correct = 0
     for start in range(0, len(x), batch_size):
         o = logits(x[start : start + batch_size], meter)
         correct += int((o.argmax(axis=1) == y[start : start + batch_size]).sum())
-    # A network with no middle layer records nothing: it has no SOP layer.
-    additions = layer_additions(net)
-    sparsity = meter.mean(additions) if additions else 0.0
-    report = estimate_energy(count_flops(net), meter.sops / len(x), sparsity,
-                             meter.per_layer() if additions else {}, net.timesteps)
+    report = estimate_energy(count_flops(net), meter.sops / len(x), meter.mean(),
+                             meter.per_layer(), net.timesteps)
     return correct / len(x), report
 
 

@@ -86,6 +86,12 @@ class BinaryLayer:
     def has_affine(self) -> bool:
         return self.affine_gamma is not None
 
+    @property
+    def folded(self) -> bool:
+        """The inference form of a binarized layer: alpha all 1, weights all +/-1."""
+        return (self.binarize and bool((self.alpha == 1.0).all())
+                and bool((np.abs(self.w_latent) == 1.0).all()))
+
 
 def _params(layer: BinaryLayer):
     """Yield (name, array) for each parameter the layer trains: the latent

@@ -166,25 +166,25 @@ def aggregate_output(outputs: list[np.ndarray]) -> np.ndarray:
     return np.mean(np.stack(outputs, axis=0), axis=0)
 
 
-def _log_softmax(o: np.ndarray) -> np.ndarray:
-    z = o - o.max(axis=1, keepdims=True)
+def _log_softmax(o_out: np.ndarray, labels) -> np.ndarray:
+    """log softmax over o_out's classes; IndexError unless each integer label
+    names one of them."""
+    o_out, labels = as_f64(o_out), np.asarray(labels)
+    if (labels < 0).any() or (labels >= o_out.shape[1]).any():
+        raise IndexError(f"labels out of range for {o_out.shape[1]} classes")
+    z = o_out - o_out.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def ce_loss(o_out: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of softmax(o_out) against integer labels."""
-    o_out = as_f64(o_out)
-    labels = np.asarray(labels)
-    if (labels < 0).any() or (labels >= o_out.shape[1]).any():
-        raise IndexError(f"labels out of range for {o_out.shape[1]} classes")
-    logp = _log_softmax(o_out)
+    logp = _log_softmax(o_out, labels)
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
 def ce_loss_grad(o_out: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """d(mean CE)/d(o_out): (softmax - onehot) / batch."""
-    o_out = as_f64(o_out)
-    p = np.exp(_log_softmax(o_out))
+    p = np.exp(_log_softmax(o_out, labels))
     p[np.arange(len(labels)), labels] -= 1.0
     return p / len(labels)
 

@@ -262,6 +262,31 @@ def test_every_resealed_bit_flip_loads_or_raises_parse_error(tmp_path, form, arc
         assert loaded.layers[-1].kind == DENSE
 
 
+def test_unfolded_inference_form_save_rejected(tmp_path):
+    # A folded layer keeps alpha 1; one that does not would save, reload and
+    # then fail the event kernel's folded-form check.
+    from reverb_snn.errors import StateError
+    net = fold_alpha(build_network("d4 d4", (3,), 2, MODE_REVERB, timesteps=1, seed=0))
+    net.layers[1].alpha[:] = 0.5
+    with pytest.raises(StateError, match="not folded"):
+        save_checkpoint(net, tmp_path / "u.rvrb")
+
+
+def test_unfolded_inference_form_file_is_parse_error(tmp_path):
+    net = fold_alpha(build_network("d2 d2", (2,), 2, MODE_REVERB, timesteps=1, seed=0))
+    path = tmp_path / "u.rvrb"
+    save_checkpoint(net, path)
+    data = bytearray(path.read_bytes())
+    # header, input shape, layer count; layer 0's header, shape, f64 weights
+    # and alpha; layer 1's header, shape and one byte of packed sign bits
+    off = 29 + 5 + 4 + (14 + 8 + 4 * 8 + 2 * 8) + (14 + 8 + 1)
+    assert data[off : off + 16] == np.ones(2).tobytes()  # layer 1's alpha
+    data[off : off + 8] = struct.pack("<d", 0.5)
+    path.write_bytes(_reseal(data))
+    with pytest.raises(ParseError, match="not folded"):
+        load_checkpoint(path)
+
+
 def test_version_2_file_is_unsupported(tmp_path):
     # Format 2 stored the training mode, the class count and each weight's
     # rank; format 3 derives them, and a format-2 file no longer loads.

@@ -378,27 +378,50 @@ class TestResultsOwnTheirMemory:
         assert first.tobytes() == kept.tobytes()
 
 
+def _mlp(hidden):
+    """A 3-input, 2-class MLP with the given hidden layers."""
+    return build_network(hidden, (3,), 2, MODE_REVERB, timesteps=1, seed=0)
+
+
 class TestSparsityMeter:
     def test_all_silent_gives_zero(self):
-        m = SparsityMeter()
-        m.record(1, np.zeros(10))
-        assert m.per_layer()[1] == 0.0
+        m = SparsityMeter(_mlp("d4 d4"))
+        m.record(1, np.zeros((2, 4)))
+        assert m.per_layer() == {1: 0.0}
+        assert m.sops == 0
 
     def test_all_firing_gives_one(self):
-        m = SparsityMeter()
-        m.record(1, np.ones(10))
-        assert m.per_layer()[1] == 1.0
+        m = SparsityMeter(_mlp("d4 d4"))
+        m.record(1, np.ones((2, 4)))
+        assert m.per_layer() == {1: 1.0}
+        assert m.sops == 2 * 4 * 4  # each input reaches the layer's 4 outputs
 
     def test_weighted_mean(self):
-        m = SparsityMeter()
-        m.record(1, np.array([1.0, 0.0]))       # s = 0.5
-        m.record(2, np.array([1.0, 1.0, 1.0, 0.0]))  # s = 0.75
-        additions = {1: 100, 2: 300}
-        assert m.mean(additions) == pytest.approx((0.5 * 100 + 0.75 * 300) / 400)
+        m = SparsityMeter(_mlp("d4 d8 d2"))  # middle layers 4->8 and 8->2
+        assert m.additions == {1: 32, 2: 16}
+        m.record(1, np.array([[1.0, 0.0, 1.0, 0.0]]))  # s = 0.5
+        m.record(2, np.array([[1.0] * 6 + [0.0] * 2]))  # s = 0.75
+        assert m.mean() == pytest.approx((0.5 * 32 + 0.75 * 16) / 48)
 
     def test_empty_records_rejected(self):
+        m = SparsityMeter(_mlp("d4 d8 d2"))
         with pytest.raises(StateError):
-            SparsityMeter().per_layer()
+            m.per_layer()
+        m.record(1, np.ones((1, 4)))  # layer 2 still unrecorded
+        with pytest.raises(StateError):
+            m.mean()
+
+    @pytest.mark.parametrize("layer_id", [0, 2, 3])
+    def test_layer_outside_the_meter_rejected(self, layer_id):
+        # Layer 0 is the encoder and 2 the head of a three-layer net: not metered.
+        with pytest.raises(DimensionError, match=f"layer {layer_id} "):
+            SparsityMeter(_mlp("d4 d4")).record(layer_id, np.ones((1, 4)))
+
+    def test_no_middle_layer_meters_nothing(self):
+        m = SparsityMeter(_mlp("d4"))  # encoder and head only
+        assert m.per_layer() == {}
+        assert m.mean() == 0.0
+        assert m.sops == 0
 
 
 class TestOperationCounts:
@@ -490,6 +513,11 @@ class TestOneSopCount:
         _, event, counter = evaluate_event_driven(net, x, y)
         assert dense.sops == event.sops == _sop_oracle(net, x)
         assert dense.sparsity_per_layer == event.sparsity_per_layer
+        meter = SparsityMeter(net)  # the public meter, fed sample by sample
+        for sample in x:
+            event_forward(net, sample, meter=meter)
+        assert meter.sops / len(x) == event.sops
+        assert meter.per_layer() == event.sparsity_per_layer
         if mode != "vanilla":
             assert event.sops == counter.accumulations / len(x)
 

@@ -163,6 +163,12 @@ class TestCeLoss:
         with pytest.raises(IndexError):
             ce_loss(np.zeros((2, 3)), np.array([0, 3]))
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_grad_label_out_of_range(self, label):
+        # A label of -1 would index the last class and charge it the target.
+        with pytest.raises(IndexError):
+            ce_loss_grad(np.zeros((2, 3)), np.array([0, label]))
+
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         o = rng.normal(size=(4, 3))
